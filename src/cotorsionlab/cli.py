@@ -9,13 +9,12 @@ probe, replay.  Exit codes are a function of the verdict alone:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from . import fileformats as ff
 from .pairs import compute_hearts, verify_cotorsion, verify_twin
-from .repcore import FieldChar, QuiverPresentation
+from .repcore import FieldChar, QuiverPresentation, env_seed
 from .serialcat import generate as generate_ctx
 from .subcat import SearchBounds, Verdict, ses_payload
 from .heartcat import (check_abelian, check_integral, heart_context,
@@ -23,13 +22,6 @@ from .heartcat import (check_abelian, check_integral, heart_context,
 
 EXIT_BAD_INPUT = 2
 EXIT_REPLAY_MISMATCH = 4
-
-
-def _seed() -> int:
-    try:
-        return int(os.environ.get("COTORSION_LAB_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _load_setup(args):
@@ -47,7 +39,7 @@ def _emit(args, check: str, verdict: Verdict, ctx, subs, bounds,
         from .subcat import inter
         subs_out["W"] = inter(subs_out["U"], subs_out["T"], name="W")
     data = ff.report_payload(check, verdict.payload(), ctx.presentation,
-                             ctx.field, subs_out or None, bounds, _seed(),
+                             ctx.field, subs_out or None, bounds, args.seed,
                              time.monotonic() - started)
     if extra:
         data.update(extra)
@@ -239,6 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.seed = env_seed()
+    except ValueError as exc:
+        sys.stderr.write(f"error: COTORSION_LAB_SEED: {exc}\n")
+        return EXIT_BAD_INPUT
     try:
         return args.fn(args)
     except ff.FileFormatError as exc:

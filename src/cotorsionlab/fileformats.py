@@ -1,9 +1,10 @@
 """Versioned JSON file formats: category, pairs, reports, certificates.
 
 All emitted files re-parse to equal values (canonical serialization with
-sorted keys).  Certificates are self-contained: every module and matrix
-needed to revalidate a verdict is embedded, so `replay` never re-runs
-the original search.
+sorted keys).  Certificates embed every module and matrix they state, so
+`replay` revalidates most of them without a search; condition-1 and
+pullback-square certificates re-run twin verification and the heart
+tables of the stated twin.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from . import repcore as rc
 from .repcore import FieldChar, QuiverPresentation
 from .serialcat import CategoryCtx, IndecId, Obj, generate
-from .subcat import SearchBounds, Subcategory, left_perp, right_perp
+from .subcat import (SearchBounds, Subcategory, left_perp, right_perp,
+                     ses_payload)
 
 CATEGORY_SCHEMA = "cotorsionlab/category/v1"
 PAIRS_SCHEMA = "cotorsionlab/pairs/v1"
@@ -48,11 +50,16 @@ def write_json(path: str | Path, data) -> None:
         raise
 
 
-def read_json(path: str | Path):
+def read_json(path: str | Path) -> dict:
+    """A JSON object from a file; every file format here is an object."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: expected a JSON object, "
+                              f"got {type(data).__name__}")
+    return data
 
 
 # -- category files -------------------------------------------------------
@@ -345,6 +352,49 @@ def _obj_from_str(text: str) -> Obj:
     return Obj(tuple(IndecId.parse(t) for t in text.split("+")))
 
 
+# D swaps the twin's classes (S' = DV, T' = DU, U' = DT, V' = DS, W' = DW)
+# and the two membership witnesses of a heart object
+_DUAL_NAME = {"S": "V", "T": "U", "U": "T", "V": "S", "W": "W",
+              "bplus": "bminus", "bminus": "bplus"}
+
+
+def dual_certificate(cert: dict) -> dict:
+    """D maps a non_integral certificate over the twin's algebra to a
+    non_integral_dual one over the opposite algebra, and back.  Stated ids
+    are mapped, not recomputed, so a replay still checks every claim."""
+    c = cert["context"]
+    n = int(c["n"])
+    pres = QuiverPresentation(n, tuple((int(a), int(b)) for a, b in c["relations"]))
+    fieldc = FieldChar(int(c["field_char"]))
+    op = generate(pres.op, fieldc)
+
+    def obj(text):
+        return str(_obj_from_str(text).dual(n))
+
+    def ses(p):
+        return {**ses_payload(op, ses_from_payload(pres, fieldc, p).dual()),
+                "first": obj(p["third"]), "middle": obj(p["middle"]),
+                "third": obj(p["first"])}
+
+    primal = cert["kind"] == "non_integral"
+    tri, outside, dual_tri, dual_outside = (
+        ("epi", "u", "mono", "t") if primal else ("mono", "t", "epi", "u"))
+    return {
+        "kind": "non_integral_dual" if primal else "non_integral",
+        "z": obj(cert["z"]),
+        f"z_outside_{dual_outside}": obj(cert[f"z_outside_{outside}"]),
+        "conflation": ses(cert["conflation"]),
+        f"{dual_tri}_triangles": [{"kind": dual_tri, "conflation": ses(t["conflation"])}
+                                  for t in cert[f"{tri}_triangles"]],
+        "heart_witnesses": {obj(x): {_DUAL_NAME[k]: ses(v) for k, v in e.items()}
+                            for x, e in cert["heart_witnesses"].items()},
+        "context": {"n": n, "relations": [list(r) for r in pres.op.relations],
+                    "field_char": fieldc.p,
+                    **{_DUAL_NAME[k]: sorted(obj(x) for x in v)
+                       for k, v in c.items() if k in ("S", "T", "U", "V", "W")}},
+    }
+
+
 def _check_ses_ids(ctx: CategoryCtx, ses: rc.SES, payload: dict) -> tuple[Obj, Obj, Obj]:
     first = ctx.identify(ses.first)
     middle = ctx.identify(ses.middle)
@@ -399,6 +449,11 @@ def replay_certificate(report: dict) -> list[str]:
             "field_char": cat["field_char"],
         }
         cert_ctx.update(report.get("subcategories", {}))
+    if kind == "non_integral_dual":
+        inner = replay_certificate({"verdict": {"certificate": dual_certificate(
+            {**cert, "context": cert_ctx})}})
+        return log + ["mapped through D to a non_integral certificate over "
+                      "the opposite algebra"] + inner[1:]
     pres = QuiverPresentation(int(cert_ctx["n"]),
                               tuple((int(a), int(b)) for a, b in cert_ctx["relations"]))
     fieldc = FieldChar(int(cert_ctx["field_char"]))
@@ -446,46 +501,6 @@ def replay_certificate(report: dict) -> list[str]:
                    | {IndecId.parse(s)
                       for tri in cert["epi_triangles"]
                       for term in ("first", "middle")
-                      for s in ([] if tri["conflation"][term] == "0"
-                                else tri["conflation"][term].split("+"))}))
-        log.append("heart membership witnesses validated")
-        return log
-
-    if kind == "non_integral_dual":
-        u_ids = _ids_from_strings(cert_ctx["U"])
-        t_ids = _ids_from_strings(cert_ctx["T"])
-        main = ses_from_payload(pres, fieldc, cert["conflation"])
-        first, middle, third = _check_ses_ids(ctx, main, cert["conflation"])
-        z = _obj_from_str(cert["z"])
-        if middle != z:
-            raise ReplayFailure("conflation middle differs from stated z")
-        if not third.summands_in(u_ids):
-            raise ReplayFailure("conflation third term is not in add(U)")
-        offender = IndecId.parse(cert["z_outside_t"])
-        if offender not in set(z.ids) or offender in t_ids:
-            raise ReplayFailure("stated offending summand is not outside T")
-        remaining = list(first.ids)
-        for tri in cert["mono_triangles"]:
-            tp = tri["conflation"]
-            ses = ses_from_payload(pres, fieldc, tp)
-            f, m, t = _check_ses_ids(ctx, ses, tp)
-            if not f.summands_in(t_ids):
-                raise ReplayFailure(f"mono-triangle first term {f} leaves add(T)")
-            if not is_w_epic(ctx, ses.p, w_sub):
-                raise ReplayFailure("mono-triangle deflation is not core-epic")
-            for x in f.ids:
-                if x not in remaining:
-                    raise ReplayFailure("mono-triangle firsts exceed the submodule")
-                remaining.remove(x)
-            log.append(f"mono-triangle {f} -> {m} -> {t} validated")
-        if remaining:
-            raise ReplayFailure(f"submodule summands not certified: {remaining}")
-        _validate_heart_witnesses(
-            ctx, cert_ctx, cert["heart_witnesses"],
-            sorted(set(z.ids)
-                   | {IndecId.parse(s)
-                      for tri in cert["mono_triangles"]
-                      for term in ("middle", "third")
                       for s in ([] if tri["conflation"][term] == "0"
                                 else tri["conflation"][term].split("+"))}))
         log.append("heart membership witnesses validated")

@@ -16,6 +16,7 @@ self-contained certificate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import primefield as pf
 from . import repcore as rc
+from .fileformats import dual_certificate
 from .pairs import HeartClasses, TwinPair
 from .serialcat import CategoryCtx, IndecId, Obj
 from .subcat import (SearchBounds, Subcategory, Verdict, ses_payload,
@@ -44,6 +46,8 @@ class HeartContext:
     _ideal_cache: dict = field(default_factory=dict)
     _quot_cache: dict = field(default_factory=dict)
     _witness_cache: dict = field(default_factory=dict)
+    _dual: HeartContext | None = field(default=None, repr=False, compare=False)
+    _dual_of: weakref.ref | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.w_ids = self.tp.w.ids
@@ -103,84 +107,59 @@ class HeartContext:
     def quotient_hom_dim(self, a: Obj, b: Obj) -> int:
         return len(self.hom_basis(a, b)) - self.w_ideal(a, b).shape[0]
 
+    def dual(self) -> "HeartContext":
+        """The heart of the D-twin ((DV,DU),(DT,DS)) over ctx.op, with core
+        DW; witnesses are dualized on first use.  Cached, so h.dual().dual()
+        is h; the way back is a weak reference, as for CategoryCtx.op."""
+        base = self._dual_of() if self._dual_of is not None else None
+        if base is not None:
+            return base
+        if self._dual is None:
+            n = self.ctx.presentation.n
+            tp = self.tp.dual(n)
+            self._dual = HeartContext(self.ctx.op, tp, self.hearts.dual(tp, n),
+                                      self.bounds)
+            self._dual._dual_of = weakref.ref(self)
+        return self._dual
+
     # -- witness conflations ---------------------------------------------
 
-    def _uncached_bplus_deflation(self, b: Obj) -> rc.Morphism:
-        """The core cover W_B ->> realize(b), summed over b's witnesses."""
-        parts = [self.hearts.main.bplus_witness[x] for x in b.ids]
-        middles = [s.middle for s in parts]
-        total, incls, projs = rc.direct_sum(
-            middles, self.ctx.presentation, self.ctx.field)
-        bmod = self.ctx.realize(b)
-        _, b_incls, _ = self.ctx.realize_seq(b.ids)
-        out = rc.zero_morphism(total, bmod)
-        for k, s in enumerate(parts):
-            out = out.add(projs[k].then(s.p).then(b_incls[k]))
-        return rc.Morphism(total, bmod, out.comps, validate=False)
+    def cached(self, key, build):
+        """The value cached under key, from build() on first use."""
+        if key not in self._witness_cache:
+            self._witness_cache[key] = build()
+        return self._witness_cache[key]
 
-    def _uncached_bminus_inflation(self, a: Obj) -> rc.Morphism:
-        """The core envelope realize(a) -> W^A, summed over a's witnesses."""
-        parts = [self.hearts.main.bminus_witness[x] for x in a.ids]
-        middles = [s.middle for s in parts]
-        total, incls, _ = rc.direct_sum(
-            middles, self.ctx.presentation, self.ctx.field)
-        amod = self.ctx.realize(a)
+    def witness_map(self, kind: str, o: Obj) -> rc.Morphism:
+        """One family of witness conflations summed over the summands of o:
+        "bminus" (core envelopes) and "st_right" (the (S, T) pair) give the
+        inflation realize(o) -> middle, "uv_left" (the (U, V) pair) the
+        deflation middle ->> realize(o).  Cached per (kind, o)."""
+        if kind == "uv_left":
+            return self.cached((kind, o.ids),
+                               lambda: self._summed_deflation(self.tp.uv.left, o))
+        table = self.hearts.main.bminus_witness if kind == "bminus" else self.tp.st.right
+        return self.cached((kind, o.ids), lambda: self._summed_inflation(table, o))
+
+    def _summed_inflation(self, table, a: Obj) -> rc.Morphism:
+        parts = [table[x] for x in a.ids]
+        total, incls, _ = rc.direct_sum([s.middle for s in parts],
+                                        self.ctx.presentation, self.ctx.field)
         _, _, a_projs = self.ctx.realize_seq(a.ids)
-        out = rc.zero_morphism(amod, total)
+        out = rc.zero_morphism(self.ctx.realize(a), total)
         for k, s in enumerate(parts):
             out = out.add(a_projs[k].then(s.i).then(incls[k]))
-        return rc.Morphism(amod, total, out.comps, validate=False)
+        return out
 
-    def _uncached_st_right_inflation(self, a: Obj) -> rc.Morphism:
-        """Conflation start a -> T1 from the (S, T) pair, summed."""
-        parts = [self.tp.st.right[x] for x in a.ids]
-        middles = [s.middle for s in parts]
-        total, incls, _ = rc.direct_sum(
-            middles, self.ctx.presentation, self.ctx.field)
-        amod = self.ctx.realize(a)
-        _, _, a_projs = self.ctx.realize_seq(a.ids)
-        out = rc.zero_morphism(amod, total)
-        for k, s in enumerate(parts):
-            out = out.add(a_projs[k].then(s.i).then(incls[k]))
-        return rc.Morphism(amod, total, out.comps, validate=False)
-
-    def _uncached_uv_left_deflation(self, b: Obj) -> rc.Morphism:
-        """Conflation end U1 ->> realize(b) from the (U, V) pair, summed."""
-        parts = [self.tp.uv.left[x] for x in b.ids]
-        middles = [s.middle for s in parts]
-        total, _, projs = rc.direct_sum(
-            middles, self.ctx.presentation, self.ctx.field)
-        bmod = self.ctx.realize(b)
+    def _summed_deflation(self, table, b: Obj) -> rc.Morphism:
+        parts = [table[x] for x in b.ids]
+        total, _, projs = rc.direct_sum([s.middle for s in parts],
+                                        self.ctx.presentation, self.ctx.field)
         _, b_incls, _ = self.ctx.realize_seq(b.ids)
-        out = rc.zero_morphism(total, bmod)
+        out = rc.zero_morphism(total, self.ctx.realize(b))
         for k, s in enumerate(parts):
             out = out.add(projs[k].then(s.p).then(b_incls[k]))
-        return rc.Morphism(total, bmod, out.comps, validate=False)
-
-
-    def bplus_deflation(self, b: Obj) -> rc.Morphism:
-        key = ("bplus", b.ids)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self._uncached_bplus_deflation(b)
-        return self._witness_cache[key]
-
-    def bminus_inflation(self, a: Obj) -> rc.Morphism:
-        key = ("bminus", a.ids)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self._uncached_bminus_inflation(a)
-        return self._witness_cache[key]
-
-    def st_right_inflation(self, a: Obj) -> rc.Morphism:
-        key = ("st_right", a.ids)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self._uncached_st_right_inflation(a)
-        return self._witness_cache[key]
-
-    def uv_left_deflation(self, b: Obj) -> rc.Morphism:
-        key = ("uv_left", b.ids)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self._uncached_uv_left_deflation(b)
-        return self._witness_cache[key]
+        return out
 
     # cached core-monic/epic tests for maps between canonical objects
 
@@ -200,19 +179,9 @@ class HeartContext:
         return True
 
     def core_epic(self, src: Obj, dst: Obj, mor: rc.Morphism) -> bool:
-        p = self.ctx.field.p
-        for wid in sorted(self.w_ids):
-            wobj = Obj.of(wid)
-            tgt_dim = len(self.hom_basis(wobj, dst))
-            if tgt_dim == 0:
-                continue
-            src_basis = self.hom_basis(wobj, src)
-            if not src_basis:
-                return False
-            mat = np.stack([g.then(mor).vectorize() for g in src_basis], axis=1)
-            if pf.rank(mat, p) < tgt_dim:
-                return False
-        return True
+        n = self.ctx.presentation.n
+        return self.dual().core_monic(dst.dual(n), src.dual(n),
+                                      self.ctx.dual_morphism(src, dst, mor))
 
 
 @dataclass(frozen=True)
@@ -236,20 +205,23 @@ class HeartMorphism:
         return {"src": str(self.src), "dst": str(self.dst),
                 "comps": [c.tolist() for c in self.mor.comps]}
 
+    def dual(self) -> "HeartMorphism":
+        """D(f): D(dst) -> D(src) in the D-heart, between canonical
+        realizations."""
+        n = self.hctx.ctx.presentation.n
+        return HeartMorphism(self.hctx.dual(), self.dst.dual(n), self.src.dual(n),
+                             self.hctx.ctx.dual_morphism(self.src, self.dst, self.mor))
+
 
 def heart_morphism_from_coeffs(hctx: HeartContext, a: Obj, b: Obj,
                                coeffs) -> HeartMorphism:
     basis = hctx.hom_basis(a, b)
     p = hctx.ctx.field.p
-    key = ("basis_mat", a.ids, b.ids)
-    mat = hctx._witness_cache.get(key)
-    if mat is None:
-        mat = (np.stack([h.vectorize() for h in basis], axis=1)
-               if basis else None)
-        hctx._witness_cache[key] = mat
     src, dst = hctx.ctx.realize(a), hctx.ctx.realize(b)
-    if mat is None:
+    if not basis:
         return HeartMorphism(hctx, a, b, rc.zero_morphism(src, dst))
+    mat = hctx.cached(("basis_mat", a.ids, b.ids),
+                      lambda: np.stack([h.vectorize() for h in basis], axis=1))
     vec = (mat @ (np.asarray(coeffs, dtype=np.int64) % p)) % p
     return HeartMorphism(hctx, a, b, rc.devectorize(vec, src, dst))
 
@@ -275,20 +247,9 @@ def is_w_monic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
 
 
 def is_w_epic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
-    """Hom(W, source) -> Hom(W, target) surjective for every W in w."""
-    p = ctx.field.p
-    for wid in sorted(w.ids):
-        wmod = ctx.realize_id(wid)
-        tgt_dim = len(rc.hom_space(wmod, f.target))
-        if tgt_dim == 0:
-            continue
-        src_basis = rc.hom_space(wmod, f.source)
-        if not src_basis:
-            return False
-        mat = np.stack([h.then(f).vectorize() for h in src_basis], axis=1)
-        if pf.rank(mat, p) < tgt_dim:
-            return False
-    return True
+    """Hom(W, source) -> Hom(W, target) surjective for every W in w, that
+    is, D(f) is DW-monic over the opposite algebra."""
+    return is_w_monic(ctx.op, f.dual(), w.dual(ctx.presentation.n))
 
 
 # -- epi / mono in the heart (two methods, agreement enforced) ------------
@@ -296,13 +257,10 @@ def is_w_epic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
 
 def _combined_inflation(h: HeartContext, hm: HeartMorphism) -> rc.Morphism:
     """(f; w): A -> B + W^A, components stacked vertically."""
-    winf = h.bminus_inflation(hm.src)
-    key = ("bw_sum", hm.dst.ids, hm.src.ids)
-    bw = h._witness_cache.get(key)
-    if bw is None:
-        bw, _, _ = rc.direct_sum([h.ctx.realize(hm.dst), winf.target],
-                                 h.ctx.presentation, h.ctx.field)
-        h._witness_cache[key] = bw
+    winf = h.witness_map("bminus", hm.src)
+    bw = h.cached(("bw_sum", hm.dst.ids, hm.src.ids),
+                  lambda: rc.direct_sum([h.ctx.realize(hm.dst), winf.target],
+                                        h.ctx.presentation, h.ctx.field)[0])
     comps = [np.vstack([hm.mor.comps[v], winf.comps[v]])
              for v in range(h.ctx.presentation.n)]
     return rc.Morphism(h.ctx.realize(hm.src), bw, comps, validate=False)
@@ -351,115 +309,32 @@ def is_epi_in_heart(hm: HeartMorphism) -> bool:
     return crit
 
 
-def _combined_deflation(h: HeartContext, hm: HeartMorphism) -> rc.Morphism:
-    """(f, w): A + W_B -> B, components stacked horizontally."""
-    wdef = h.bplus_deflation(hm.dst)
-    key = ("aw_sum", hm.src.ids, hm.dst.ids)
-    aw = h._witness_cache.get(key)
-    if aw is None:
-        aw, _, _ = rc.direct_sum([h.ctx.realize(hm.src), wdef.source],
-                                 h.ctx.presentation, h.ctx.field)
-        h._witness_cache[key] = aw
-    comps = [np.hstack([hm.mor.comps[v], wdef.comps[v]])
-             for v in range(h.ctx.presentation.n)]
-    return rc.Morphism(aw, h.ctx.realize(hm.dst), comps, validate=False)
-
-
-def _mono_by_criterion(hm: HeartMorphism) -> tuple[bool, Obj]:
-    """Kernel criterion: pull B back along the core cover; mono iff the
-    kernel of the combined deflation lies in add(T)."""
-    h = hm.hctx
-    combined = _combined_deflation(h, hm)
-    ker, _ = rc.kernel(combined)
-    obj = h.ctx.identify(ker)
-    return obj.summands_in(h.tp.t.ids), obj
-
-
-def _mono_by_hom_functor(hm: HeartMorphism) -> bool:
-    h = hm.hctx
-    p = h.ctx.field.p
-    for cid in h.surviving:
-        c = Obj.of(cid)
-        basis_ca = h.hom_basis(c, hm.src)
-        if not basis_ca:
-            continue
-        q_cb = h.quotient_projector(c, hm.dst)
-        mat = np.stack([(q_cb @ g.then(hm.mor).vectorize()) % p
-                        for g in basis_ca], axis=1)
-        for col in pf.nullspace(mat, p).T:
-            g = rc.zero_morphism(h.ctx.realize(c), h.ctx.realize(hm.src))
-            for cc, gg in zip(col, basis_ca):
-                if cc:
-                    g = g.add(gg.scale(int(cc)))
-            if not h.in_ideal(c, hm.src, g):
-                return False
-    return True
-
-
 def is_mono_in_heart(hm: HeartMorphism) -> bool:
-    crit, ker = _mono_by_criterion(hm)
-    direct = _mono_by_hom_functor(hm)
-    if crit != direct:
-        raise MethodDisagreement(
-            f"mono test disagreement on {hm.src} -> {hm.dst}: "
-            f"criterion={crit} (kernel {ker}), hom-functor={direct}")
-    return crit
+    """underline(f) is mono iff D(f) is epi in the D-heart."""
+    return is_epi_in_heart(hm.dual())
 
 
 # -- kernels and cokernels in the heart -----------------------------------
 
 
 def kernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str, ...]]:
-    """Kernel of underline(f) in the heart.
-
-    Builds the pullback C of the core cover of B along f, then coreflects
-    C into the heart through the (S,T)-conflation of C and a pullback
-    along the core cover of its middle term.  Returns the kernel object,
-    the kernel morphism into A, and taint notes (empty when clean).
-    """
-    h = hm.hctx
-    ctx = h.ctx
-    p = ctx.field.p
-    notes: list[str] = []
-    wdef = h.bplus_deflation(hm.dst)
-    aw, _, projs = rc.direct_sum([ctx.realize(hm.src), wdef.source],
-                                 ctx.presentation, ctx.field)
-    combined = rc.stack_morphisms_from_sum([hm.mor, wdef], aw, projs)
-    cmod, j = rc.kernel(combined)
-    g = j.then(projs[0])  # C -> A
-
-    cobj, cfwd, cbwd = ctx.canonical_iso_from(cmod)
-    t_raw = h.st_right_inflation(cobj)     # realize(cobj) -> T1
-    t1sum = t_raw.target
-    t1obj, t1fwd, t1bwd = ctx.canonical_iso_from(t1sum)
-    w1 = h.uv_left_deflation(t1obj)        # W1 ->> realize(t1obj)
-    w1obj = ctx.identify(w1.source)
-    if not w1obj.summands_in(h.w_ids):
-        notes.append(f"cover of {t1obj} left the core: {w1obj}")
-    tC = cbwd.then(t_raw)                  # C -> T1sum
-    w1T = w1.then(t1fwd)                   # W1 -> T1sum
-    big, _, bprojs = rc.direct_sum([cmod, w1.source],
-                                   ctx.presentation, ctx.field)
-    pb_map = rc.stack_morphisms_from_sum([tC, w1T.scale(p - 1)], big, bprojs)
-    pmod, jp = rc.kernel(pb_map)
-    cminus = jp.then(bprojs[0])            # C^- -> C
-    kobj, kfwd, _ = ctx.canonical_iso_from(pmod)
-    if not kobj.summands_in(h.heart_ids):
-        notes.append(f"kernel object {kobj} has summands outside the "
-                     f"verified heart table")
-    kmor = kfwd.then(cminus).then(g)
-    return kobj, HeartMorphism(h, kobj, hm.src, kmor), tuple(notes)
+    """Kernel of underline(f) in the heart, as D of the cokernel of D(f) in
+    the D-heart.  Returns the kernel object, the kernel morphism into A,
+    and taint notes (empty when clean)."""
+    cobj, cmor, notes = cokernel_in_heart(hm.dual())
+    return (cobj.dual(hm.hctx.ctx.presentation.n), cmor.dual(),
+            tuple(f"D-heart: {note}" for note in notes))
 
 
 def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str, ...]]:
-    """Dual construction: pushout along the core envelope of A, then
-    reflect into the heart through the (U,V)-conflation and a pushout
-    along the (S,T)-conflation of its middle term."""
+    """Cokernel of underline(f) in the heart: pushout along the core
+    envelope of A, then reflect into the heart through the (U,V)-conflation
+    and a pushout along the (S,T)-conflation of its middle term."""
     h = hm.hctx
     ctx = h.ctx
     p = ctx.field.p
     notes: list[str] = []
-    winf = h.bminus_inflation(hm.src)
+    winf = h.witness_map("bminus", hm.src)
     bw, incls, _ = rc.direct_sum([ctx.realize(hm.dst), winf.target],
                                  ctx.presentation, ctx.field)
     combined = rc.stack_morphisms_to_sum([hm.mor, winf], bw, incls)
@@ -467,10 +342,10 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
     uleg = incls[0].then(q)                # B -> D
 
     dobj, dfwd, dbwd = ctx.canonical_iso_from(dmod)
-    u_raw = h.uv_left_deflation(dobj)      # U1 ->> realize(dobj)
+    u_raw = h.witness_map("uv_left", dobj)  # U1 ->> realize(dobj)
     u1sum = u_raw.source
     u1obj, u1fwd, u1bwd = ctx.canonical_iso_from(u1sum)
-    t2 = h.st_right_inflation(u1obj)       # realize(u1obj) -> T2
+    t2 = h.witness_map("st_right", u1obj)  # realize(u1obj) -> T2
     t2obj = ctx.identify(t2.target)
     if not t2obj.summands_in(h.w_ids):
         notes.append(f"envelope of {u1obj} left the core: {t2obj}")
@@ -667,51 +542,16 @@ def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None,
 
 def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None,
                         max_summands: int = 2, class_cells_cap: int = 8):
-    """Dual enumeration: conflations T -> X -> Y with X, Y in the heart
-    and the deflation core-epic, witnessing T in the mono class."""
-    bounds = bounds or h.bounds
-    ctx = h.ctx
-    p = ctx.field.p
-    heart_sorted = sorted(h.heart_ids)
-    for b in heart_sorted:
-        obj = Obj.of(b)
-        ses = rc.SES(rc.zero_morphism(ctx.realize(Obj(())), ctx.realize(obj)),
-                     rc.identity(ctx.realize(obj)))
-        yield HeartTriangle("mono", Obj(()), obj, obj, ses)
-    for w in sorted(h.w_ids & h.tp.t.ids):
-        obj = Obj.of(w)
-        ses = rc.SES(rc.identity(ctx.realize(obj)),
-                     rc.zero_morphism(ctx.realize(obj), ctx.realize(Obj(()))))
-        yield HeartTriangle("mono", obj, obj, Obj(()), ses)
-    t_pool = [t for t in sorted(h.tp.t.ids)
-              if any(ctx.ext_dim(x, t) == 1 for x in h.heart_ids)]
-    b_pool = [x for x in heart_sorted
-              if any(ctx.ext_dim(x, t) == 1 for t in h.tp.t.ids)]
-    t_cands = [o for o in _bounded_multisets(t_pool, bounds, ctx, max_summands)
-               if not o.is_zero]
-    b_cands = [o for o in _bounded_multisets(b_pool, bounds, ctx, max_summands)
-               if not o.is_zero]
-    for t0 in t_cands:
-        for b0 in b_cands:
-            support = ctx.ext_matrix_support(b0, t0)
-            if len(support) > class_cells_cap:
-                continue
-            rows = {i for i, _ in support}
-            cols = {j for _, j in support}
-            if len(rows) < len(b0.ids) or len(cols) < len(t0.ids):
-                continue
-            for coeffs in _reduced_classes(support, len(b0.ids), len(t0.ids), p):
-                ses = ctx.ses_for_class(b0, t0, coeffs)
-                mid = ctx.identify(ses.middle)
-                if not mid.summands_in(h.heart_ids):
-                    continue
-                _, fwd, bwd = ctx.canonical_iso_from(ses.middle)
-                canon_i = ses.i.then(bwd)
-                canon_p = fwd.then(ses.p)
-                if not h.core_epic(mid, b0, canon_p):
-                    continue
-                canon = rc.SES(canon_i, canon_p)
-                yield HeartTriangle("mono", t0, mid, b0, canon)
+    """Conflations T -> X -> Y with X, Y in the heart and the deflation
+    core-epic, witnessing T in the mono class: D of the epi-triangles of
+    the D-heart, within the same bounds."""
+    d = h.dual()
+    n = h.ctx.presentation.n
+    for t in enum_epi_triangles(d, bounds, max_summands, class_cells_cap):
+        ses = rc.SES(d.ctx.dual_morphism(t.middle, t.third, t.ses.p),
+                     d.ctx.dual_morphism(t.first, t.middle, t.ses.i))
+        yield HeartTriangle("mono", t.third.dual(n), t.middle.dual(n),
+                            t.first.dual(n), ses)
 
 
 class WitnessCone:
@@ -851,8 +691,26 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
         return Verdict(status="holds", route="one-simple-object heart "
                        "(abelian, hence integral)", bounds=bounds)
 
-    epi_triangles = list(enum_epi_triangles(h, bounds))
-    epi_cone = WitnessCone(ctx, [(t.third, t) for t in epi_triangles])
+    cert = _non_integral_certificate(h, bounds)
+    if cert is not None:
+        return Verdict(status="fails", route="epi-triangle criterion",
+                       certificate=cert, bounds=bounds)
+    cert = _non_integral_certificate(h.dual(), bounds)
+    if cert is not None:
+        return Verdict(status="fails", route="mono-triangle criterion (dual)",
+                       certificate=dual_certificate(cert), bounds=bounds)
+    return Verdict(status="unknown", route="all routes exhausted within bounds",
+                   bounds=bounds,
+                   notes=("no theorem route applied and no certificate found",))
+
+
+def _non_integral_certificate(h: HeartContext, bounds: SearchBounds) -> dict | None:
+    """A certificate against the epi-triangle criterion: Z in the minus
+    class with a summand outside U and a conflation T0 -> Z -> Y, Y in the
+    cone of witnessed epi-triangle third terms.  On the D-heart this is
+    the mono-triangle criterion."""
+    ctx = h.ctx
+    epi_cone = WitnessCone(ctx, [(t.third, t) for t in enum_epi_triangles(h, bounds)])
     minus_ids = sorted(h.hearts.main.minus_ids())
     for z in _certificate_z_candidates(h, minus_ids, h.tp.u.ids, bounds):
         ses = _star_member_cone(ctx, z, h.tp.t, epi_cone, bounds.dim_cap)
@@ -860,7 +718,7 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
             continue
         used = epi_cone.decompose(ctx.identify(ses.third)) or []
         offender = next(x for x in z.ids if x not in h.tp.u.ids)
-        cert = {
+        return {
             "kind": "non_integral",
             "z": str(z),
             "z_outside_u": str(offender),
@@ -871,33 +729,7 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
                                  for i in t.first.ids + t.middle.ids}),
             "context": _context_payload(h),
         }
-        return Verdict(status="fails", route="epi-triangle criterion",
-                       certificate=cert, bounds=bounds)
-    mono_triangles = list(enum_mono_triangles(h, bounds))
-    mono_cone = WitnessCone(ctx, [(t.first, t) for t in mono_triangles])
-    plus_ids = sorted(h.hearts.main.plus_ids())
-    for z in _certificate_z_candidates(h, plus_ids, h.tp.t.ids, bounds):
-        ses = _star_member_cone_first(ctx, z, mono_cone, h.tp.u, bounds.dim_cap)
-        if ses is None:
-            continue
-        used = mono_cone.decompose(ctx.identify(ses.first)) or []
-        offender = next(x for x in z.ids if x not in h.tp.t.ids)
-        cert = {
-            "kind": "non_integral_dual",
-            "z": str(z),
-            "z_outside_t": str(offender),
-            "conflation": ses_payload(ctx, ses),
-            "mono_triangles": [t.payload(ctx) for t in used],
-            "heart_witnesses": _heart_witness_payload(
-                h, set(z.ids) | {i for t in used
-                                 for i in t.middle.ids + t.third.ids}),
-            "context": _context_payload(h),
-        }
-        return Verdict(status="fails", route="mono-triangle criterion (dual)",
-                       certificate=cert, bounds=bounds)
-    return Verdict(status="unknown", route="all routes exhausted within bounds",
-                   bounds=bounds,
-                   notes=("no theorem route applied and no certificate found",))
+    return None
 
 
 def _context_payload(h: HeartContext) -> dict:
@@ -924,19 +756,6 @@ def _heart_witness_payload(h: HeartContext, ids) -> dict:
             entry["bminus"] = ses_payload(h.ctx, h.hearts.main.bminus_witness[x])
         out[str(x)] = entry
     return out
-
-
-def _star_member_cone_first(ctx: CategoryCtx, z: Obj, cone: WitnessCone,
-                            y: Subcategory, dim_cap: int) -> rc.SES | None:
-    """First conflation X -> Z -> Y with X in the cone, Y in add(y)."""
-    zmod = ctx.realize(z)
-    for sub, incl in rc.submodules(zmod, dim_cap=dim_cap):
-        if not cone.contains(ctx.identify(sub)):
-            continue
-        quot, proj = rc.cokernel(incl)
-        if y.contains_obj(ctx.identify(quot)):
-            return rc.SES(incl, proj)
-    return None
 
 
 def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:

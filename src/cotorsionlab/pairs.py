@@ -10,12 +10,32 @@ this direction is always sound).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId, Obj
 from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
                      find_right_approx, inter)
+
+
+class _DualTable(Mapping):
+    """An IndecId -> SES table read through D: the entry for x is D of the
+    source entry for D(x), built on first use."""
+
+    def __init__(self, table: Mapping, n: int):
+        self._table, self._n, self._done = table, n, {}
+
+    def __getitem__(self, x: IndecId) -> rc.SES:
+        if x not in self._done:
+            self._done[x] = self._table[x.dual(self._n)].dual()
+        return self._done[x]
+
+    def __iter__(self):
+        return (x.dual(self._n) for x in self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 @dataclass
@@ -25,8 +45,8 @@ class CotorsionPair:
     verdict: Verdict
     # per-indecomposable witness conflations (live objects, not serialized):
     #   left[b]:  V_B -> U_B -> B     right[b]: B -> V^B -> U^B
-    left: dict[IndecId, rc.SES] = field(default_factory=dict)
-    right: dict[IndecId, rc.SES] = field(default_factory=dict)
+    left: Mapping[IndecId, rc.SES] = field(default_factory=dict)
+    right: Mapping[IndecId, rc.SES] = field(default_factory=dict)
 
 
 def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
@@ -96,6 +116,14 @@ class TwinPair:
     def v(self) -> Subcategory:
         return self.uv.v
 
+    def dual(self, n: int) -> "TwinPair":
+        """The D-twin ((DV, DU), (DT, DS)) with core DW; D turns the left
+        witnesses of a pair into the right ones of its dual and back."""
+        def pair(cp):
+            return CotorsionPair(cp.v.dual(n), cp.u.dual(n), cp.verdict,
+                                 _DualTable(cp.right, n), _DualTable(cp.left, n))
+        return TwinPair(pair(self.uv), pair(self.st), self.w.dual(n), self.verdict)
+
 
 def verify_twin(ctx: CategoryCtx, st: CotorsionPair, uv: CotorsionPair) -> TwinPair:
     """A twin needs S inside U; the core W is U intersect T."""
@@ -142,8 +170,8 @@ class HeartTable:
     core: Subcategory
     bplus: dict[IndecId, Verdict]
     bminus: dict[IndecId, Verdict]
-    bplus_witness: dict[IndecId, rc.SES]
-    bminus_witness: dict[IndecId, rc.SES]
+    bplus_witness: Mapping[IndecId, rc.SES]
+    bminus_witness: Mapping[IndecId, rc.SES]
 
     def plus_ids(self) -> frozenset[IndecId]:
         return frozenset(x for x, v in self.bplus.items() if v.holds)
@@ -166,6 +194,14 @@ class HeartTable:
             if (pv.unknown and not pv.exhaustive) or (mv.unknown and not mv.exhaustive):
                 out.add(x)
         return frozenset(out)
+
+    def dual(self, n: int) -> "HeartTable":
+        """D swaps the plus and minus classes and their witnesses."""
+        def rekey(table):
+            return {x.dual(n): v for x, v in table.items()}
+        return HeartTable(self.core.dual(n), rekey(self.bminus), rekey(self.bplus),
+                          _DualTable(self.bminus_witness, n),
+                          _DualTable(self.bplus_witness, n))
 
 
 def _heart_table(ctx: CategoryCtx, tp: TwinPair, bounds: SearchBounds) -> HeartTable:
@@ -199,6 +235,11 @@ class HeartClasses:
 
     def heart_surviving(self) -> frozenset[IndecId]:
         return self.main.surviving_ids()
+
+    def dual(self, twin: TwinPair, n: int) -> "HeartClasses":
+        """Tables of the D-twin `twin`: D swaps the two single-pair hearts."""
+        return HeartClasses(twin, self.bounds, self.main.dual(n),
+                            self.second.dual(n), self.first.dual(n))
 
     def check_core_identities(self) -> bool:
         """H cap U = W = H cap T at the indecomposable level."""

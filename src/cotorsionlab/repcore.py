@@ -80,6 +80,13 @@ class QuiverPresentation:
         highs = [s - 1 for r, s in self.relations if r >= a]
         return min(highs, default=self.n)
 
+    @property
+    def op(self) -> "QuiverPresentation":
+        """The opposite algebra relabelled v -> n+1-v, so its arrows still
+        point down and the relation (a, b) becomes (n+1-b, n+1-a)."""
+        n = self.n
+        return QuiverPresentation(n, tuple((n + 1 - b, n + 1 - a) for a, b in self.relations))
+
 
 class Module:
     """A representation: dims[v] per vertex, one matrix per arrow v+1 -> v.
@@ -139,6 +146,11 @@ class Module:
         for v in range(top - 1, bottom - 1, -1):
             comp = (self.maps[v - 1] @ comp) % p
         return comp
+
+    def dual(self) -> "Module":
+        """D = Hom_k(-, k): a module over the opposite algebra."""
+        return Module(self.presentation.op, self.field, self.dims[::-1],
+                      [m.T for m in reversed(self.maps)], validate=False)
 
     def __repr__(self):
         return f"Module(dims={self.dims})"
@@ -256,6 +268,11 @@ class Morphism:
         p = self.p
         comps = [pf.inv(c, p) for c in self.comps]
         return Morphism(self.target, self.source, comps, validate=False)
+
+    def dual(self) -> "Morphism":
+        """D(f): D(target) -> D(source), componentwise transposes."""
+        return Morphism._make(self.target.dual(), self.source.dual(),
+                              [c.T for c in reversed(self.comps)])
 
     def vectorize(self) -> np.ndarray:
         if not self.comps:
@@ -410,6 +427,10 @@ class SES:
         for v in range(self.i.source.presentation.n):
             if self.i.source.dims[v] + self.p.target.dims[v] != self.i.target.dims[v]:
                 raise ValueError("SES dimension count fails")
+
+    def dual(self) -> "SES":
+        """D(C) -> D(B) -> D(A); D is exact, so the result is a conflation."""
+        return SES(self.p.dual(), self.i.dual())
 
     @property
     def first(self) -> Module:
@@ -701,6 +722,11 @@ def _fitting_split(m: Module, e: Morphism) -> tuple[Morphism, Morphism] | None:
     return kincl, iincl
 
 
+def env_seed() -> int:
+    """The seed in COTORSION_LAB_SEED, default 0; ValueError if malformed."""
+    return int(os.environ.get("COTORSION_LAB_SEED", "0"))
+
+
 def decompose_generic(m: Module, end_cap: int = 12,
                       seed: int | None = None) -> list[Module]:
     """Fitting/idempotent decomposition, independent of serial structure.
@@ -711,7 +737,7 @@ def decompose_generic(m: Module, end_cap: int = 12,
     guessing.  Pieces are returned sorted by (dims, total_dim).
     """
     if seed is None:
-        seed = int(os.environ.get("COTORSION_LAB_SEED", "0"))
+        seed = env_seed()
     rng = np.random.default_rng(seed)
     p = m.field.p
 

@@ -9,6 +9,7 @@ category-level questions into small exact linear algebra.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class IndecId:
 
     def __str__(self):
         return self.as_interval()
+
+    def dual(self, n: int) -> "IndecId":
+        """D[a, b] = [n+1-b, n+1-a] over the opposite algebra."""
+        return IndecId(n + 1 - self.b, n + 1 - self.a)
 
     @staticmethod
     def parse(text: str) -> "IndecId":
@@ -90,6 +95,9 @@ class Obj:
             out[i] = out.get(i, 0) + 1
         return out
 
+    def dual(self, n: int) -> "Obj":
+        return Obj(tuple(i.dual(n) for i in self.ids))
+
     def plus(self, other: "Obj") -> "Obj":
         return Obj(self.ids + other.ids)
 
@@ -135,6 +143,21 @@ class CategoryCtx:
                 self._ext[i, j] = self._ext_by_syzygy(x, y)
         self._realize_cache: dict[tuple[IndecId, ...], Module] = {}
         self._hom_basis_cache: dict[tuple, list[Morphism]] = {}
+        self._op: CategoryCtx | None = None
+        self._op_of: weakref.ref | None = None
+
+    @property
+    def op(self) -> "CategoryCtx":
+        """The category of the opposite algebra, where D lands; cached, so
+        ctx.op.op is ctx.  The way back is a weak reference, so the pair is
+        freed by reference counting."""
+        base = self._op_of() if self._op_of is not None else None
+        if base is not None:
+            return base
+        if self._op is None:
+            self._op = CategoryCtx(self.presentation.op, self.field)
+            self._op._op_of = weakref.ref(self)
+        return self._op
 
     # -- censuses -------------------------------------------------------
 
@@ -225,9 +248,6 @@ class CategoryCtx:
                  for i in ids]
         return rc.direct_sum(parts, self.presentation, self.field)
 
-    def realize_with_embeddings(self, o: Obj) -> tuple[Module, list[Morphism], list[Morphism]]:
-        return self.realize_seq(o.ids)
-
     def identify(self, m: Module) -> Obj:
         """Interval multiset of a module, via composite-map ranks."""
         if m.presentation != self.presentation or m.field != self.field:
@@ -247,7 +267,7 @@ class CategoryCtx:
     def canonical_iso_from(self, m: Module) -> tuple[Obj, Morphism, Morphism]:
         """(obj, iso: realize(obj) -> m, inverse iso)."""
         obj, dec = self.identify_split(m)
-        total, incls, projs = self.realize_with_embeddings(obj)
+        total, incls, projs = self.realize_seq(obj.ids)
         fwd = rc.zero_morphism(total, m)
         bwd = rc.zero_morphism(m, total)
         for k in range(len(dec.pieces)):
@@ -258,6 +278,22 @@ class CategoryCtx:
         fwd = Morphism(canon, m, fwd.comps, validate=False)
         bwd = Morphism(m, canon, bwd.comps, validate=False)
         return obj, fwd, bwd
+
+    def dual_morphism(self, src: Obj, dst: Obj, mor: Morphism) -> Morphism:
+        """D of mor: realize(src) -> realize(dst), conjugated by the
+        per-vertex summand permutation so that it runs exactly between the
+        canonical realizations of D(dst) and D(src) over self.op."""
+        n = self.presentation.n
+
+        def order(o: Obj, v: int) -> list[int]:
+            # basis of realize(o) at v, in the summand order of realize(D o)
+            here = [x for x in o.ids if x.a <= v <= x.b]
+            return sorted(range(len(here)), key=lambda k: here[k].dual(n))
+
+        comps = [mor.comps[v - 1].T[np.ix_(order(src, v), order(dst, v))]
+                 for v in range(n, 0, -1)]
+        return Morphism._make(self.op.realize(dst.dual(n)),
+                              self.op.realize(src.dual(n)), comps)
 
     # -- hom bases between canonical objects ----------------------------
 
@@ -318,7 +354,7 @@ class CategoryCtx:
                 oj += 1
 
         # phi: omega -> first, canonical components scaled by the class
-        _, f_incls, f_projs = self.realize_with_embeddings(first)
+        _, f_incls, f_projs = self.realize_seq(first.ids)
         phi = rc.zero_morphism(omod, y_mod)
         oj = 0
         for i, x in enumerate(third.ids):

@@ -75,6 +75,9 @@ class Subcategory:
     def display(self) -> str:
         return "{" + ", ".join(i.as_interval() for i in self.sorted_ids()) + "}"
 
+    def dual(self, n: int) -> "Subcategory":
+        return Subcategory(frozenset(x.dual(n) for x in self.ids), f"D{self.name}", "dual")
+
 
 def oplus(x: Subcategory, y: Subcategory, name: str = "") -> Subcategory:
     return Subcategory(x.ids | y.ids, name or f"oplus({x.name},{y.name})", "oplus")

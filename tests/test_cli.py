@@ -208,6 +208,35 @@ def test_missing_files_exit_2(capsys):
                  "--pairs", pairs_file("ex-abelian")]) == 2
 
 
+@pytest.mark.parametrize("where", ["replay", "category", "pairs"])
+def test_non_object_json_exits_2(where, tmp_path, capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]\n")
+    argv = {"replay": ["replay", str(listing)],
+            "category": ["check-twin", "--category", str(listing),
+                         "--pairs", pairs_file("ex-abelian")],
+            "pairs": ["check-twin", "--category", CATEGORY,
+                      "--pairs", str(listing)]}[where]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_seed_exits_2(monkeypatch, capsys):
+    from cotorsionlab.repcore import decompose_generic
+    monkeypatch.setenv("COTORSION_LAB_SEED", "seven")
+    assert main(["check-twin", "--category", CATEGORY,
+                 "--pairs", pairs_file("ex-abelian")]) == 2
+    assert "COTORSION_LAB_SEED" in capsys.readouterr().err
+    from cotorsionlab.fixtures import paper_context
+    with pytest.raises(ValueError):
+        decompose_generic(paper_context().realize_id(IndecId(3, 5)))
+    monkeypatch.setenv("COTORSION_LAB_SEED", "7")
+    report_args = ["heart", "--category", CATEGORY,
+                   "--pairs", pairs_file("ex-abelian")]
+    assert main(report_args) == 0
+    assert "seed=7" in capsys.readouterr().out
+
+
 # ---- replay --------------------------------------------------------------------
 
 def test_replay_accepts_stored_fixture_report(capsys):
