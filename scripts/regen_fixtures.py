@@ -13,7 +13,7 @@ from cotorsionlab import fileformats as ff
 from cotorsionlab.fixtures import (FIXTURES, fixture_subcategories,
                                    paper_context, paper_presentation)
 from cotorsionlab.heartcat import check_integral, heart_context
-from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
+from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.repcore import FieldChar
 from cotorsionlab.subcat import SearchBounds, inter
 
@@ -31,9 +31,7 @@ def main() -> int:
     # stored report with the non-integrality certificate, for replay
     bounds = SearchBounds()
     subs = fixture_subcategories(ctx, "ex-nonintegral")
-    st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
-    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-    tp = verify_twin(ctx, st, uv)
+    tp = verified_twin(ctx, subs, bounds)
     hearts = compute_hearts(ctx, tp, bounds)
     h = heart_context(ctx, tp, hearts, bounds)
     verdict = check_integral(h)

@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.heartcat import (check_abelian, check_integral,
                                    heart_context, probe_integral_direct)
-from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
+from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.subcat import SearchBounds
 
 
@@ -40,9 +40,7 @@ def main() -> int:
         t0 = time.monotonic()
         print(f"=== {name} ===")
         subs = fixture_subcategories(ctx, name)
-        st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
-        uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-        tp = verify_twin(ctx, st, uv)
+        tp = verified_twin(ctx, subs, bounds)
         print(f"  twin verification: {tp.verdict.status}")
         if not tp.verdict.holds:
             continue

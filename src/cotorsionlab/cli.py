@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import fileformats as ff
-from .pairs import compute_hearts, verify_cotorsion, verify_twin
+from .pairs import compute_hearts, verified_twin
 from .repcore import FieldChar, QuiverPresentation, env_seed
 from .serialcat import generate as generate_ctx
 from .subcat import SearchBounds, Verdict, ses_payload
@@ -49,10 +49,17 @@ def _emit(args, check: str, verdict: Verdict, ctx, subs, bounds,
     return ff.EXIT_BY_STATUS[verdict.status]
 
 
-def _verified_twin(ctx, subs, bounds):
-    st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
-    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-    return verify_twin(ctx, st, uv)
+def _with_hearts(args, check: str, decide) -> int:
+    """Load the input and verify its twin; emit the twin's verdict if it
+    does not hold, else the (verdict, extra report keys) that
+    decide(ctx, tp, hearts, bounds) returns."""
+    started = time.monotonic()
+    ctx, subs, bounds = _load_setup(args)
+    tp = verified_twin(ctx, subs, bounds)
+    if not tp.verdict.holds:
+        return _emit(args, check, tp.verdict, ctx, subs, bounds, started)
+    verdict, extra = decide(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+    return _emit(args, check, verdict, ctx, subs, bounds, started, extra)
 
 
 def cmd_generate(args) -> int:
@@ -81,7 +88,7 @@ def cmd_generate(args) -> int:
 def cmd_check_twin(args) -> int:
     started = time.monotonic()
     ctx, subs, bounds = _load_setup(args)
-    tp = _verified_twin(ctx, subs, bounds)
+    tp = verified_twin(ctx, subs, bounds)
     verdict = tp.verdict
     if verdict.holds:
         dump = []
@@ -115,35 +122,22 @@ def _tables_payload(hearts) -> dict:
 
 
 def cmd_heart(args) -> int:
-    started = time.monotonic()
-    ctx, subs, bounds = _load_setup(args)
-    tp = _verified_twin(ctx, subs, bounds)
-    if not tp.verdict.holds:
-        return _emit(args, "heart", tp.verdict, ctx, subs, bounds, started)
-    hearts = compute_hearts(ctx, tp, bounds)
-    tables = _tables_payload(hearts)
-    verdict = Verdict(
-        status="holds", route="membership search (complete reduced space)",
-        bounds=bounds, exhaustive=not hearts.main.tainted_ids(),
-        notes=(f"heart modulo core: {', '.join(tables['heart_surviving']) or '0'}",))
-    return _emit(args, "heart", verdict, ctx, subs, bounds, started,
-                 extra={"tables": tables})
+    def decide(ctx, tp, hearts, bounds):
+        tables = _tables_payload(hearts)
+        verdict = Verdict(
+            status="holds", route="membership search (complete reduced space)",
+            bounds=bounds, exhaustive=not hearts.main.tainted_ids(),
+            notes=(f"heart modulo core: {', '.join(tables['heart_surviving']) or '0'}",))
+        return verdict, {"tables": tables}
+    return _with_hearts(args, "heart", decide)
 
 
 def _decision(args, which: str) -> int:
-    started = time.monotonic()
-    ctx, subs, bounds = _load_setup(args)
-    tp = _verified_twin(ctx, subs, bounds)
-    if not tp.verdict.holds:
-        return _emit(args, which, tp.verdict, ctx, subs, bounds, started)
-    hearts = compute_hearts(ctx, tp, bounds)
-    h = heart_context(ctx, tp, hearts, bounds)
-    if which == "check-integral":
-        verdict = check_integral(h)
-    else:
-        verdict = check_abelian(h)
-    return _emit(args, which, verdict, ctx, subs, bounds, started,
-                 extra={"tables": _tables_payload(hearts)})
+    def decide(ctx, tp, hearts, bounds):
+        h = heart_context(ctx, tp, hearts, bounds)
+        verdict = check_integral(h) if which == "check-integral" else check_abelian(h)
+        return verdict, {"tables": _tables_payload(hearts)}
+    return _with_hearts(args, which, decide)
 
 
 def cmd_check_integral(args) -> int:
@@ -155,15 +149,10 @@ def cmd_check_abelian(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    started = time.monotonic()
-    ctx, subs, bounds = _load_setup(args)
-    tp = _verified_twin(ctx, subs, bounds)
-    if not tp.verdict.holds:
-        return _emit(args, "probe", tp.verdict, ctx, subs, bounds, started)
-    hearts = compute_hearts(ctx, tp, bounds)
-    h = heart_context(ctx, tp, hearts, bounds)
-    verdict = probe_integral_direct(h, bounds, max_squares=args.max_squares)
-    return _emit(args, "probe", verdict, ctx, subs, bounds, started)
+    def decide(ctx, tp, hearts, bounds):
+        h = heart_context(ctx, tp, hearts, bounds)
+        return probe_integral_direct(h, bounds, max_squares=args.max_squares), None
+    return _with_hearts(args, "probe", decide)
 
 
 def cmd_replay(args) -> int:

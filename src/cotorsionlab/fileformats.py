@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import repcore as rc
+from .pairs import compute_hearts, verified_twin
 from .repcore import FieldChar, QuiverPresentation
 from .serialcat import CategoryCtx, IndecId, Obj, generate
 from .subcat import (SearchBounds, Subcategory, left_perp, right_perp,
@@ -436,9 +437,13 @@ def replay_certificate(report: dict) -> list[str]:
     from .heartcat import is_w_epic, is_w_monic  # local: avoids cycle
 
     verdict = report.get("verdict", {})
+    if not isinstance(verdict, dict):
+        raise TypeError("verdict is not an object")
     cert = verdict.get("certificate")
     if cert is None:
         raise ReplayFailure("report carries no certificate to replay")
+    if not isinstance(cert, dict):
+        raise TypeError("certificate is not an object")
     kind = cert.get("kind")
     log = [f"replaying {kind} certificate"]
     cert_ctx = cert.get("context")
@@ -542,21 +547,22 @@ def replay_certificate(report: dict) -> list[str]:
     raise ReplayFailure(f"unknown certificate kind {kind!r}")
 
 
+def _replay_hearts(ctx: CategoryCtx, report: dict):
+    """(twin, hearts, bounds) of the report's subcategories, recomputed."""
+    subs = {k: Subcategory(_ids_from_strings(v), k)
+            for k, v in report["subcategories"].items()}
+    bounds = SearchBounds(**report["bounds"])
+    tp = verified_twin(ctx, subs, bounds)
+    if not tp.verdict.holds:
+        raise ReplayFailure("stated twin pair does not verify")
+    return tp, compute_hearts(ctx, tp, bounds), bounds
+
+
 def _replay_condition1(ctx: CategoryCtx, report: dict, cert: dict,
                        log: list[str]) -> list[str]:
     """Re-run the complete reduced membership searches for the named
     witnesses only (deterministic, a few milliseconds)."""
-    from .pairs import compute_hearts, verify_cotorsion, verify_twin
-
-    subs = {k: Subcategory(_ids_from_strings(v), k)
-            for k, v in report["subcategories"].items()}
-    bounds = SearchBounds(**report["bounds"])
-    st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
-    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-    tp = verify_twin(ctx, st, uv)
-    if not tp.verdict.holds:
-        raise ReplayFailure("stated twin pair does not verify")
-    hearts = compute_hearts(ctx, tp, bounds)
+    _, hearts, _ = _replay_hearts(ctx, report)
     lhs = hearts.main.surviving_ids()
     h1 = hearts.first.heart_ids()
     h2 = hearts.second.heart_ids()
@@ -582,17 +588,8 @@ def _replay_condition1(ctx: CategoryCtx, report: dict, cert: dict,
 def _replay_square(ctx: CategoryCtx, report: dict, cert: dict,
                    log: list[str]) -> list[str]:
     from .heartcat import (HeartMorphism, heart_context, is_epi_in_heart)
-    from .pairs import compute_hearts, verify_cotorsion, verify_twin
 
-    subs = {k: Subcategory(_ids_from_strings(v), k)
-            for k, v in report["subcategories"].items()}
-    bounds = SearchBounds(**report["bounds"])
-    st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
-    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-    tp = verify_twin(ctx, st, uv)
-    if not tp.verdict.holds:
-        raise ReplayFailure("stated twin pair does not verify")
-    h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+    h = heart_context(ctx, *_replay_hearts(ctx, report))
 
     def hm(payload):
         src = _obj_from_str(payload["src"])

@@ -43,9 +43,7 @@ class HeartContext:
     tp: TwinPair
     hearts: HeartClasses
     bounds: SearchBounds
-    _ideal_cache: dict = field(default_factory=dict)
-    _quot_cache: dict = field(default_factory=dict)
-    _witness_cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict)
     _dual: HeartContext | None = field(default=None, repr=False, compare=False)
     _dual_of: weakref.ref | None = field(default=None, repr=False, compare=False)
 
@@ -59,42 +57,41 @@ class HeartContext:
     def hom_basis(self, a: Obj, b: Obj) -> list[rc.Morphism]:
         return self.ctx.hom_basis(a, b)
 
+    def basis_matrix(self, a: Obj, b: Obj) -> np.ndarray:
+        """The hom basis of Hom(a, b), vectorized and stacked as columns."""
+        def build():
+            basis = self.hom_basis(a, b)
+            if basis:
+                return np.stack([h.vectorize() for h in basis], axis=1)
+            return pf.zeros(self._vec_len(a, b), 0)
+        return self.cached(("basis_matrix", a.ids, b.ids), build)
+
+    def _vec_len(self, a: Obj, b: Obj) -> int:
+        """Length of a vectorized map realize(a) -> realize(b)."""
+        return sum(x * y for x, y in zip(self.ctx.realize(a).dims,
+                                         self.ctx.realize(b).dims))
+
     def w_ideal(self, a: Obj, b: Obj) -> np.ndarray:
         """Reduced row basis of the core ideal inside Hom(a, b),
         vectorized in the hom-space coordinates."""
-        key = (a.ids, b.ids)
-        hit = self._ideal_cache.get(key)
-        if hit is not None:
-            return hit
-        p = self.ctx.field.p
-        rows = []
-        for w in sorted(self.w_ids):
-            wobj = Obj.of(w)
-            for f in self.hom_basis(a, wobj):
-                for g in self.hom_basis(wobj, b):
-                    rows.append(f.then(g).vectorize())
-        dim = sum(self.ctx.realize(a).dims[v] * self.ctx.realize(b).dims[v]
-                  for v in range(self.ctx.presentation.n))
-        if rows:
-            mat = np.stack(rows, axis=0)
-            red, piv = pf.rref(mat, p)
-            out = red[:len(piv), :]
-        else:
-            out = pf.zeros(0, dim)
-        self._ideal_cache[key] = out
-        return out
+        def build():
+            rows = [f.then(g).vectorize()
+                    for w in map(Obj.of, sorted(self.w_ids))
+                    for f in self.hom_basis(a, w)
+                    for g in self.hom_basis(w, b)]
+            if not rows:
+                return pf.zeros(0, self._vec_len(a, b))
+            red, piv = pf.rref(np.stack(rows, axis=0), self.ctx.field.p)
+            return red[:len(piv), :]
+        return self.cached(("w_ideal", a.ids, b.ids), build)
 
     def quotient_projector(self, a: Obj, b: Obj) -> np.ndarray:
         """q with ker(q) = core ideal of Hom(a, b) (on vectorized maps)."""
-        key = (a.ids, b.ids)
-        hit = self._quot_cache.get(key)
-        if hit is not None:
-            return hit
-        p = self.ctx.field.p
-        ideal = self.w_ideal(a, b)
-        q, _ = pf.complement_projector(ideal.T, ideal.shape[1], p)
-        self._quot_cache[key] = q
-        return q
+        def build():
+            ideal = self.w_ideal(a, b)
+            return pf.complement_projector(ideal.T, ideal.shape[1],
+                                           self.ctx.field.p)[0]
+        return self.cached(("quotient_projector", a.ids, b.ids), build)
 
     def in_ideal(self, a: Obj, b: Obj, mor: rc.Morphism) -> bool:
         p = self.ctx.field.p
@@ -125,41 +122,31 @@ class HeartContext:
     # -- witness conflations ---------------------------------------------
 
     def cached(self, key, build):
-        """The value cached under key, from build() on first use."""
-        if key not in self._witness_cache:
-            self._witness_cache[key] = build()
-        return self._witness_cache[key]
+        """The value cached under key, from build() on first use.  Keys are
+        tuples that start with the name of what they cache."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def witness_map(self, kind: str, o: Obj) -> rc.Morphism:
         """One family of witness conflations summed over the summands of o:
         "bminus" (core envelopes) and "st_right" (the (S, T) pair) give the
         inflation realize(o) -> middle, "uv_left" (the (U, V) pair) the
         deflation middle ->> realize(o).  Cached per (kind, o)."""
-        if kind == "uv_left":
-            return self.cached((kind, o.ids),
-                               lambda: self._summed_deflation(self.tp.uv.left, o))
-        table = self.hearts.main.bminus_witness if kind == "bminus" else self.tp.st.right
-        return self.cached((kind, o.ids), lambda: self._summed_inflation(table, o))
-
-    def _summed_inflation(self, table, a: Obj) -> rc.Morphism:
-        parts = [table[x] for x in a.ids]
-        total, incls, _ = rc.direct_sum([s.middle for s in parts],
-                                        self.ctx.presentation, self.ctx.field)
-        _, _, a_projs = self.ctx.realize_seq(a.ids)
-        out = rc.zero_morphism(self.ctx.realize(a), total)
-        for k, s in enumerate(parts):
-            out = out.add(a_projs[k].then(s.i).then(incls[k]))
-        return out
-
-    def _summed_deflation(self, table, b: Obj) -> rc.Morphism:
-        parts = [table[x] for x in b.ids]
-        total, _, projs = rc.direct_sum([s.middle for s in parts],
-                                        self.ctx.presentation, self.ctx.field)
-        _, b_incls, _ = self.ctx.realize_seq(b.ids)
-        out = rc.zero_morphism(total, self.ctx.realize(b))
-        for k, s in enumerate(parts):
-            out = out.add(projs[k].then(s.p).then(b_incls[k]))
-        return out
+        def build():
+            table = {"bminus": self.hearts.main.bminus_witness,
+                     "st_right": self.tp.st.right, "uv_left": self.tp.uv.left}[kind]
+            parts = [table[x] for x in o.ids]
+            mids = [s.middle for s in parts]
+            total = rc.direct_sum(mids, self.ctx.presentation, self.ctx.field)[0]
+            if kind == "uv_left":
+                return rc.block_morphism(total, self.ctx.realize(o), mids,
+                                         [s.third for s in parts],
+                                         {(k, k): s.p for k, s in enumerate(parts)})
+            return rc.block_morphism(self.ctx.realize(o), total,
+                                     [s.first for s in parts], mids,
+                                     {(k, k): s.i for k, s in enumerate(parts)})
+        return self.cached((kind, o.ids), build)
 
     # cached core-monic/epic tests for maps between canonical objects
 
@@ -215,15 +202,10 @@ class HeartMorphism:
 
 def heart_morphism_from_coeffs(hctx: HeartContext, a: Obj, b: Obj,
                                coeffs) -> HeartMorphism:
-    basis = hctx.hom_basis(a, b)
     p = hctx.ctx.field.p
-    src, dst = hctx.ctx.realize(a), hctx.ctx.realize(b)
-    if not basis:
-        return HeartMorphism(hctx, a, b, rc.zero_morphism(src, dst))
-    mat = hctx.cached(("basis_mat", a.ids, b.ids),
-                      lambda: np.stack([h.vectorize() for h in basis], axis=1))
-    vec = (mat @ (np.asarray(coeffs, dtype=np.int64) % p)) % p
-    return HeartMorphism(hctx, a, b, rc.devectorize(vec, src, dst))
+    vec = (hctx.basis_matrix(a, b) @ (np.asarray(coeffs, dtype=np.int64) % p)) % p
+    return HeartMorphism(hctx, a, b, rc.devectorize(
+        vec, hctx.ctx.realize(a), hctx.ctx.realize(b)))
 
 
 # -- W-monic and W-epic ---------------------------------------------------
@@ -255,22 +237,22 @@ def is_w_epic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
 # -- epi / mono in the heart (two methods, agreement enforced) ------------
 
 
-def _combined_inflation(h: HeartContext, hm: HeartMorphism) -> rc.Morphism:
-    """(f; w): A -> B + W^A, components stacked vertically."""
+def _combined_inflation(h: HeartContext,
+                        hm: HeartMorphism) -> tuple[rc.Morphism, rc.Morphism]:
+    """(f; w): A -> B + W^A, and the inclusion of B into B + W^A."""
     winf = h.witness_map("bminus", hm.src)
-    bw = h.cached(("bw_sum", hm.dst.ids, hm.src.ids),
-                  lambda: rc.direct_sum([h.ctx.realize(hm.dst), winf.target],
-                                        h.ctx.presentation, h.ctx.field)[0])
-    comps = [np.vstack([hm.mor.comps[v], winf.comps[v]])
-             for v in range(h.ctx.presentation.n)]
-    return rc.Morphism(h.ctx.realize(hm.src), bw, comps, validate=False)
+    a, b = h.ctx.realize(hm.src), h.ctx.realize(hm.dst)
+    bw, incls, _ = rc.direct_sum([b, winf.target], h.ctx.presentation, h.ctx.field)
+    combined = rc.block_morphism(a, bw, [a], [b, winf.target],
+                                 {(0, 0): hm.mor, (1, 0): winf})
+    return combined, incls[0]
 
 
 def _epi_by_criterion(hm: HeartMorphism) -> tuple[bool, Obj]:
     """Cokernel criterion: push A into B + W^A; epi iff the cokernel of
     the combined inflation lies in add(U)."""
     h = hm.hctx
-    combined = _combined_inflation(h, hm)
+    combined, _ = _combined_inflation(h, hm)
     cok, _ = rc.cokernel(combined)
     obj = h.ctx.identify(cok)
     return obj.summands_in(h.tp.u.ids), obj
@@ -289,13 +271,11 @@ def _epi_by_hom_functor(hm: HeartMorphism) -> bool:
         q_ac = h.quotient_projector(hm.src, c)
         mat = np.stack([(q_ac @ hm.mor.then(g).vectorize()) % p
                         for g in basis_bc], axis=1)
-        for col in pf.nullspace(mat, p).T:
-            g = rc.zero_morphism(h.ctx.realize(hm.dst), h.ctx.realize(c))
-            for cc, gg in zip(col, basis_bc):
-                if cc:
-                    g = g.add(gg.scale(int(cc)))
-            if not h.in_ideal(hm.dst, c, g):
-                return False
+        # the maps B -> C that f kills modulo the core must be in the core
+        ker = pf.nullspace(mat, p)
+        if ker.shape[1] and np.any((h.quotient_projector(hm.dst, c)
+                                    @ h.basis_matrix(hm.dst, c) @ ker) % p):
+            return False
     return True
 
 
@@ -334,12 +314,9 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
     ctx = h.ctx
     p = ctx.field.p
     notes: list[str] = []
-    winf = h.witness_map("bminus", hm.src)
-    bw, incls, _ = rc.direct_sum([ctx.realize(hm.dst), winf.target],
-                                 ctx.presentation, ctx.field)
-    combined = rc.stack_morphisms_to_sum([hm.mor, winf], bw, incls)
+    combined, incl_b = _combined_inflation(h, hm)
     dmod, q = rc.cokernel(combined)
-    uleg = incls[0].then(q)                # B -> D
+    uleg = incl_b.then(q)                  # B -> D
 
     dobj, dfwd, dbwd = ctx.canonical_iso_from(dmod)
     u_raw = h.witness_map("uv_left", dobj)  # U1 ->> realize(dobj)
@@ -353,7 +330,8 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
     t2U = u1bwd.then(t2)                   # U1sum -> T2
     big, bincls, _ = rc.direct_sum([dmod, t2.target],
                                    ctx.presentation, ctx.field)
-    po_map = rc.stack_morphisms_to_sum([uD, t2U.scale(p - 1)], big, bincls)
+    po_map = rc.block_morphism(u1sum, big, [u1sum], [dmod, t2.target],
+                               {(0, 0): uD, (1, 0): t2U.scale(p - 1)})
     dplus, qq = rc.cokernel(po_map)
     dleg = bincls[0].then(qq)              # D -> D^+
     cobj2, _, cbwd2 = ctx.canonical_iso_from(dplus)
@@ -370,40 +348,26 @@ def validate_kernel_universal_property(hm: HeartMorphism, kobj: Obj,
     factors through the kernel, uniquely modulo the core ideal, for all
     surviving heart indecomposables D."""
     h = hm.hctx
-    ctx = h.ctx
-    p = ctx.field.p
+    p = h.ctx.field.p
     for did in h.surviving:
         d = Obj.of(did)
-        basis_da = h.hom_basis(d, hm.src)
         basis_dk = h.hom_basis(d, kobj)
         mat_dk = (np.stack([g.then(kmor.mor).vectorize() for g in basis_dk], axis=1)
-                  if basis_dk else pf.zeros(
-                      len(rc.zero_morphism(ctx.realize(d), ctx.realize(hm.src)).vectorize()), 0))
+                  if basis_dk else pf.zeros(h.basis_matrix(d, hm.src).shape[0], 0))
         ideal_da = h.w_ideal(d, hm.src)
         span = np.hstack([mat_dk, ideal_da.T]) if ideal_da.size else mat_dk
-        for coeffs in product(range(p), repeat=len(basis_da)):
-            dm = rc.zero_morphism(ctx.realize(d), ctx.realize(hm.src))
-            for c, g in zip(coeffs, basis_da):
-                if c:
-                    dm = dm.add(g.scale(c))
-            comp = dm.then(hm.mor)
-            if not h.in_ideal(d, hm.dst, comp):
+        for coeffs in product(range(p), repeat=len(h.hom_basis(d, hm.src))):
+            dm = heart_morphism_from_coeffs(h, d, hm.src, coeffs).mor
+            if not h.in_ideal(d, hm.dst, dm.then(hm.mor)):
                 continue
             vec = dm.vectorize().reshape(-1, 1)
             if vec.size and pf.solve(span, vec, p) is None:
                 return False
         # uniqueness: underline(kmor) is monic against D
-        q_da = h.quotient_projector(d, hm.src)
-        if basis_dk:
-            m = np.stack([(q_da @ g.then(kmor.mor).vectorize()) % p
-                          for g in basis_dk], axis=1)
-            for col in pf.nullspace(m, p).T:
-                g = rc.zero_morphism(ctx.realize(d), ctx.realize(kobj))
-                for cc, gg in zip(col, basis_dk):
-                    if cc:
-                        g = g.add(gg.scale(int(cc)))
-                if not h.in_ideal(d, kobj, g):
-                    return False
+        ker = pf.nullspace((h.quotient_projector(d, hm.src) @ mat_dk) % p, p)
+        if ker.shape[1] and np.any((h.quotient_projector(d, kobj)
+                                    @ h.basis_matrix(d, kobj) @ ker) % p):
+            return False
     return True
 
 
@@ -890,11 +854,12 @@ def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
                                 notes=(f"checked {max_squares} squares",))
                         b = heart_morphism_from_coeffs(h, bobj, dobj, bco)
                         # the map (b, -d): B + C -> D, then its heart kernel
+                        parts = [ctx.realize(bobj), ctx.realize(cobj)]
                         big, _, two_projs = rc.direct_sum(
-                            [ctx.realize(bobj), ctx.realize(cobj)],
-                            ctx.presentation, ctx.field)
-                        comb = rc.stack_morphisms_from_sum(
-                            [b.mor, d.mor.scale(p - 1)], big, two_projs)
+                            parts, ctx.presentation, ctx.field)
+                        comb = rc.block_morphism(
+                            big, ctx.realize(dobj), parts, [ctx.realize(dobj)],
+                            {(0, 0): b.mor, (0, 1): d.mor.scale(p - 1)})
                         bcobj, fwd, _ = ctx.canonical_iso_from(big)
                         hm = HeartMorphism(h, bcobj, dobj, fwd.then(comb))
                         kobj, kmor, notes = kernel_in_heart(hm)

@@ -151,6 +151,14 @@ def verify_twin(ctx: CategoryCtx, st: CotorsionPair, uv: CotorsionPair) -> TwinP
     return TwinPair(st, uv, w, verdict)
 
 
+def verified_twin(ctx: CategoryCtx, subs: Mapping[str, Subcategory],
+                  bounds: SearchBounds) -> TwinPair:
+    """The twin ((S, T), (U, V)) named by subs, both pairs verified."""
+    st = verify_cotorsion(ctx, subs["S"], subs["T"], bounds)
+    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
+    return verify_twin(ctx, st, uv)
+
+
 def membership_bplus(ctx: CategoryCtx, x: IndecId, tp: TwinPair,
                      bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
     """Conflation V -> W -> x with V in add(V), W in add(core)."""
@@ -240,12 +248,6 @@ class HeartClasses:
         """Tables of the D-twin `twin`: D swaps the two single-pair hearts."""
         return HeartClasses(twin, self.bounds, self.main.dual(n),
                             self.second.dual(n), self.first.dual(n))
-
-    def check_core_identities(self) -> bool:
-        """H cap U = W = H cap T at the indecomposable level."""
-        h = self.main.heart_ids()
-        return (h & self.twin.u.ids == self.w_ids
-                and h & self.twin.t.ids == self.w_ids)
 
 
 def degenerate_twin(ctx: CategoryCtx, pair: CotorsionPair) -> TwinPair:

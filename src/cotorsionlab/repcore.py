@@ -477,22 +477,21 @@ def direct_sum(modules: list[Module], presentation: QuiverPresentation,
     return total, incls, projs
 
 
-def stack_morphisms_to_sum(fs: list[Morphism], total: Module,
-                           incls: list[Morphism]) -> Morphism:
-    """(f_1, ..., f_k)^T : X -> B_1 + ... + B_k from a shared source X."""
-    out = zero_morphism(fs[0].source, total)
-    for f, incl in zip(fs, incls):
-        out = out.add(f.then(incl))
-    return out
-
-
-def stack_morphisms_from_sum(fs: list[Morphism], total: Module,
-                             projs: list[Morphism]) -> Morphism:
-    """(f_1, ..., f_k) : A_1 + ... + A_k -> Y into a shared target Y."""
-    out = zero_morphism(total, fs[0].target)
-    for f, proj in zip(fs, projs):
-        out = out.add(proj.then(f))
-    return out
+def block_morphism(source: Module, target: Module, source_parts, target_parts,
+                   blocks: dict[tuple[int, int], Morphism]) -> Morphism:
+    """The map source -> target whose block from source_parts[i] to
+    target_parts[j] is blocks[j, i]; absent blocks are zero.  Source and
+    target are laid out as direct_sum lays out their parts."""
+    n = source.presentation.n
+    rows = np.cumsum([[0] * n] + [m.dims for m in target_parts], axis=0)
+    cols = np.cumsum([[0] * n] + [m.dims for m in source_parts], axis=0)
+    if tuple(rows[-1]) != target.dims or tuple(cols[-1]) != source.dims:
+        raise ValueError("parts do not add up to the source and target")
+    comps = [pf.zeros(target.dims[v], source.dims[v]) for v in range(n)]
+    for (j, i), f in blocks.items():
+        for v in range(n):
+            comps[v][rows[j, v]:rows[j + 1, v], cols[i, v]:cols[i + 1, v]] = f.comps[v]
+    return Morphism._make(source, target, comps)
 
 
 def submodules(m: Module, dim_cap: int = 24):
@@ -661,11 +660,8 @@ def _split_top_generator(m: Module) -> tuple[tuple[int, int], Morphism, Morphism
         coeff = None
     if coeff is None:
         raise ArithmeticError("maximal uniserial summand did not split (bug)")
-    retr = zero_morphism(m, piece)
-    for j, h in enumerate(basis):
-        c = int(coeff[j, 0])
-        if c:
-            retr = retr.add(h.scale(c))
+    basis_mat = np.stack([h.vectorize() for h in basis], axis=1)
+    retr = devectorize((basis_mat @ coeff[:, 0]) % p, m, piece)
     return (bottom, top), incl, retr
 
 

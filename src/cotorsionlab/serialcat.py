@@ -242,12 +242,6 @@ class CategoryCtx:
         self._realize_cache[key] = m
         return m
 
-    def realize_seq(self, ids) -> tuple[Module, list[Morphism], list[Morphism]]:
-        """Direct sum of interval modules in the given order (not sorted)."""
-        parts = [rc.interval_module(self.presentation, self.field, i.a, i.b)
-                 for i in ids]
-        return rc.direct_sum(parts, self.presentation, self.field)
-
     def identify(self, m: Module) -> Obj:
         """Interval multiset of a module, via composite-map ranks."""
         if m.presentation != self.presentation or m.field != self.field:
@@ -267,16 +261,11 @@ class CategoryCtx:
     def canonical_iso_from(self, m: Module) -> tuple[Obj, Morphism, Morphism]:
         """(obj, iso: realize(obj) -> m, inverse iso)."""
         obj, dec = self.identify_split(m)
-        total, incls, projs = self.realize_seq(obj.ids)
-        fwd = rc.zero_morphism(total, m)
-        bwd = rc.zero_morphism(m, total)
-        for k in range(len(dec.pieces)):
-            fwd = fwd.add(projs[k].then(dec.incls[k]))
-            bwd = bwd.add(dec.projs[k].then(incls[k]))
-        # total was built from the cache-independent embeddings; re-anchor
         canon = self.realize(obj)
-        fwd = Morphism(canon, m, fwd.comps, validate=False)
-        bwd = Morphism(m, canon, bwd.comps, validate=False)
+        fwd = rc.block_morphism(canon, m, dec.pieces, [m],
+                                {(0, k): incl for k, incl in enumerate(dec.incls)})
+        bwd = rc.block_morphism(m, canon, [m], dec.pieces,
+                                {(k, 0): proj for k, proj in enumerate(dec.projs)})
         return obj, fwd, bwd
 
     def dual_morphism(self, src: Obj, dst: Obj, mor: Morphism) -> Morphism:
@@ -334,49 +323,36 @@ class CategoryCtx:
             e = y_mod
             return SES(rc.identity(e), rc.zero_morphism(e, self.realize(third)))
         covers = [self.projective_cover_id(x) for x in third.ids]
-        omegas = [self.syzygy_id(x) for x in third.ids]
-        pmod, p_incls, p_projs = self.realize_seq(covers)
-        omod, o_incls, o_projs = self.realize_seq([o for o in omegas if o is not None])
+        omegas = [(i, o) for i, o in enumerate(map(self.syzygy_id, third.ids))
+                  if o is not None]
+        o_parts = [self.realize_id(o) for _, o in omegas]
+        py_parts = [self.realize_id(x) for x in covers + list(first.ids)]
+        omod = rc.direct_sum(o_parts, pres, fld)[0]
+        pmod = rc.direct_sum(py_parts[:len(covers)], pres, fld)[0]
         x_mod = self.realize(third)
-        _, x_incls, x_projs = self.realize_seq(third.ids)
+        py, incls, _ = rc.direct_sum([pmod, y_mod], pres, fld)
 
-        # iota: omega -> P, canonical inclusion summand by summand
-        iota = rc.zero_morphism(omod, pmod)
-        cover = rc.zero_morphism(pmod, x_mod)
-        oj = 0
-        for i, x in enumerate(third.ids):
-            ci = covers[i]
-            quot = self.canonical_hom(ci, x)
-            cover = cover.add(p_projs[i].then(quot).then(x_incls[i]))
-            if omegas[i] is not None:
-                inc = self.canonical_hom(omegas[i], ci)
-                iota = iota.add(o_projs[oj].then(inc).then(p_incls[i]))
-                oj += 1
-
-        # phi: omega -> first, canonical components scaled by the class
-        _, f_incls, f_projs = self.realize_seq(first.ids)
-        phi = rc.zero_morphism(omod, y_mod)
-        oj = 0
-        for i, x in enumerate(third.ids):
-            if omegas[i] is None:
-                continue
+        # h = (iota, -phi): omega -> P + first, with iota the canonical
+        # inclusion summand by summand and phi the canonical components
+        # scaled by the class
+        blocks = {}
+        for k, (i, o) in enumerate(omegas):
+            blocks[i, k] = self.canonical_hom(o, covers[i])
             for j, y in enumerate(first.ids):
                 c = coeffs.get((i, j), 0) % p
                 if c:
-                    can = self.canonical_hom(omegas[i], y)
+                    can = self.canonical_hom(o, y)
                     if can is None:
                         raise ValueError("class generator missing (bug)")
-                    phi = phi.add(o_projs[oj].then(can).then(f_incls[j]).scale(c))
-            oj += 1
-
-        py, incls, projs = rc.direct_sum([pmod, y_mod], pres, fld)
-        h = rc.stack_morphisms_to_sum(
-            [iota, phi.scale(p - 1)], py, incls)
+                    blocks[len(covers) + j, k] = can.scale(p - c)
+        h = rc.block_morphism(omod, py, o_parts, py_parts, blocks)
         e_mod, q = rc.cokernel(h)
         u = incls[1].then(q)
-        # v: E -> third, descends from (cover, 0)
-        cover0 = rc.stack_morphisms_from_sum(
-            [cover, rc.zero_morphism(y_mod, x_mod)], py, projs)
+        # v: E -> third, descends from (cover, 0): P + first -> third
+        cover0 = rc.block_morphism(
+            py, x_mod, py_parts, [self.realize_id(x) for x in third.ids],
+            {(i, i): self.canonical_hom(ci, x)
+             for i, (ci, x) in enumerate(zip(covers, third.ids))})
         vcomps = []
         for vtx in range(pres.n):
             sol = pf.solve_left(q.comps[vtx], cover0.comps[vtx], p)

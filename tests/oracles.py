@@ -118,3 +118,17 @@ def _multisets_with_dims(ctx: CategoryCtx, want):
             yield from rec(idx, nxt, current + [iv])
 
     yield from rec(0, list(want), [])
+
+
+def block_morphism_by_sum(source_parts, target_parts, blocks, presentation,
+                          fieldc):
+    """repcore.block_morphism by its definition: the sum over the blocks
+    f = blocks[j, i] of proj_i . f . incl_j, with direct_sum's embeddings."""
+    from cotorsionlab import repcore as rc
+
+    src, _, projs = rc.direct_sum(source_parts, presentation, fieldc)
+    dst, incls, _ = rc.direct_sum(target_parts, presentation, fieldc)
+    out = rc.zero_morphism(src, dst)
+    for (j, i), f in blocks.items():
+        out = out.add(projs[i].then(f).then(incls[j]))
+    return out

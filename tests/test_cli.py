@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -126,6 +127,22 @@ def test_check_twin_on_fixture(tmp_path, capsys):
     data = ff.read_json(report)
     assert data["verdict"]["status"] == "holds"
     assert len(data["verdict"]["witnesses"]) == 18
+
+
+# sha256 of the canonical JSON of the ex-nonintegral check-twin witnesses
+# (every approximation conflation with its matrices), as first emitted
+CHECK_TWIN_WITNESS_SHA256 = (
+    "f527b20bfc822a31df0721cc9e39da1fc542dcef862fb149a2b244e3a2dd93c5")
+
+
+def test_check_twin_witness_matrices_are_pinned(tmp_path, capsys):
+    report = tmp_path / "twin.json"
+    assert main(["check-twin", "--category", CATEGORY,
+                 "--pairs", pairs_file("ex-nonintegral"),
+                 "--report", str(report)]) == 0
+    witnesses = ff.read_json(report)["verdict"]["witnesses"]
+    digest = hashlib.sha256(ff.dumps_canonical(witnesses).encode()).hexdigest()
+    assert digest == CHECK_TWIN_WITNESS_SHA256
 
 
 def test_check_twin_nonabelian_core_note(capsys):
@@ -264,13 +281,25 @@ def test_replay_rejects_tampered_certificates(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
-def test_replay_rejects_structurally_broken_reports(tmp_path, capsys):
+def _without_i_comps():
     data = ff.read_json(FIXDIR / "ex-nonintegral.integral-report.json")
     del data["verdict"]["certificate"]["conflation"]["i_comps"]
+    return data
+
+
+@pytest.mark.parametrize("broken,reason", [
+    (_without_i_comps, "conflation payload invalid"),
+    (lambda: {"verdict": [1]}, "malformed certificate"),
+    (lambda: {"verdict": {"certificate": [1]}}, "malformed certificate")],
+    ids=["missing-i-comps", "verdict-list", "certificate-list"])
+def test_replay_rejects_structurally_broken_reports(broken, reason, tmp_path,
+                                                    capsys):
     bad = tmp_path / "broken.json"
-    ff.write_json(bad, data)
+    ff.write_json(bad, broken())
     assert main(["replay", str(bad)]) == 4
-    assert "MISMATCH" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "replay: MISMATCH" in out
+    assert reason in out
     assert main(["replay", str(tmp_path / "missing.json")]) == 2
 
 

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,10 @@ from cotorsionlab import repcore as rc
 from cotorsionlab.repcore import (DecompositionInconclusiveError,
                                   EnumerationRefusedError, FieldChar,
                                   QuiverPresentation)
-from cotorsionlab.serialcat import IndecId, Obj
+from cotorsionlab.serialcat import IndecId, Obj, generate
 
-from oracles import count_submodules_enumerated, hom_dim_enumerated
+from oracles import (block_morphism_by_sum, count_submodules_enumerated,
+                     hom_dim_enumerated)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,42 @@ def test_direct_sum_embeddings_are_orthogonal(ctx):
                 assert comp.is_iso()
             else:
                 assert comp.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_morphism_matches_its_definition(p):
+    ctx = generate(QuiverPresentation(6, ((1, 5), (2, 6))), FieldChar(p))
+    rng = random.Random(p)
+    pool = [rc.zero_module(ctx.presentation, ctx.field)]
+    pool += [ctx.realize(Obj.of(x)) for x in ctx.indecs]
+    pool += [ctx.realize(Obj.of(*rng.sample(ctx.indecs, 2))) for _ in range(6)]
+    absent = zero_parts = 0
+    for _ in range(40):
+        src_parts = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        dst_parts = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        zero_parts += sum(m.is_zero for m in src_parts + dst_parts)
+        blocks = {}
+        for (j, b), (i, a) in product(enumerate(dst_parts), enumerate(src_parts)):
+            if rng.random() < 0.3:
+                absent += 1
+                continue
+            f = rc.zero_morphism(a, b)
+            for g in rc.hom_space(a, b):
+                f = f.add(g.scale(rng.randrange(p)))
+            blocks[j, i] = f
+        want = block_morphism_by_sum(src_parts, dst_parts, blocks,
+                                     ctx.presentation, ctx.field)
+        got = rc.block_morphism(want.source, want.target, src_parts,
+                                dst_parts, blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(got.comps, want.comps))
+        got.validate()
+    assert absent and zero_parts
+
+
+def test_block_morphism_rejects_parts_that_do_not_add_up(ctx):
+    m = iv(ctx, 3, 4)
+    with pytest.raises(ValueError):
+        rc.block_morphism(m, m, [m, m], [m], {})
 
 
 # ---- is_iso ----------------------------------------------------------------
