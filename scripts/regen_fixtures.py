@@ -5,7 +5,6 @@ replay tests.  Output is deterministic; the repository copies must match."""
 
 import pathlib
 import sys
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 

@@ -225,6 +225,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: COTORSION_LAB_SEED: {exc}\n")
         return EXIT_BAD_INPUT
+    for flag in ("bound_mult", "dim_cap", "max_squares"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            sys.stderr.write(f"error: --{flag.replace('_', '-')} must be at "
+                             f"least 1, got {value}\n")
+            return EXIT_BAD_INPUT
     try:
         return args.fn(args)
     except ff.FileFormatError as exc:

@@ -26,7 +26,7 @@ from . import primefield as pf
 from . import repcore as rc
 from .fileformats import dual_certificate
 from .pairs import HeartClasses, TwinPair
-from .serialcat import CategoryCtx, IndecId, Obj
+from .serialcat import CategoryCtx, Obj
 from .subcat import (SearchBounds, Subcategory, Verdict, ses_payload,
                      subcat_in_star)
 

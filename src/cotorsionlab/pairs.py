@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import repcore as rc
-from .serialcat import CategoryCtx, IndecId, Obj
+from .serialcat import CategoryCtx, IndecId
 from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
                      find_right_approx, inter)
 

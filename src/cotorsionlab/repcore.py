@@ -9,7 +9,7 @@ is immutable after construction and validated eagerly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class Module:
     (dims[i], dims[i+1]).
     """
 
-    __slots__ = ("presentation", "field", "dims", "maps", "_hash")
+    __slots__ = ("presentation", "field", "dims", "maps", "_key")
 
     def __init__(self, presentation: QuiverPresentation, fieldc: FieldChar,
                  dims, maps, validate: bool = True):
@@ -128,6 +128,17 @@ class Module:
                 comp = (self.maps[v - 1] @ comp) % p
             if comp.size and np.any(comp % p):
                 raise ValueError(f"relation ({a},{b}) is not satisfied")
+
+    @property
+    def key(self) -> tuple:
+        """Content key: dims plus the arrow matrices as uint8 bytes (p <= 97
+        fits in a byte); computed once."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = (self.dims, b"".join(m.astype(np.uint8).tobytes()
+                                             for m in self.maps))
+            return self._key
 
     @property
     def total_dim(self) -> int:
@@ -367,8 +378,7 @@ def cokernel(f: Morphism) -> tuple[Module, Morphism]:
     qs, sections = [], []
     dims = []
     for v in range(pres.n):
-        img = pf.column_space_basis(f.comps[v], p)
-        q, s = pf.complement_projector(img, f.target.dims[v], p)
+        q, s = pf.complement_projector(f.comps[v], f.target.dims[v], p)
         qs.append(q)
         sections.append(s)
         dims.append(q.shape[0])

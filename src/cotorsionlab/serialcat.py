@@ -19,7 +19,7 @@ from . import repcore as rc
 from .repcore import FieldChar, Module, Morphism, QuiverPresentation, SES
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IndecId:
     """Interval [a, b]; display forms "[a,b]" and stacked "b/…/a"."""
 
@@ -61,7 +61,7 @@ class IndecId:
         raise ValueError(f"cannot parse interval {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obj:
     """Formal finite multiset of indecomposables; empty means zero object."""
 
@@ -141,8 +141,7 @@ class CategoryCtx:
         for i, x in enumerate(self.indecs):
             for j, y in enumerate(self.indecs):
                 self._ext[i, j] = self._ext_by_syzygy(x, y)
-        self._realize_cache: dict[tuple[IndecId, ...], Module] = {}
-        self._hom_basis_cache: dict[tuple, list[Morphism]] = {}
+        self._cache: dict[tuple, object] = {}
         self._op: CategoryCtx | None = None
         self._op_of: weakref.ref | None = None
 
@@ -158,6 +157,15 @@ class CategoryCtx:
             self._op = CategoryCtx(self.presentation.op, self.field)
             self._op._op_of = weakref.ref(self)
         return self._op
+
+    def cached(self, key, build):
+        """The value cached under key, from build() on first use, with every
+        array it reaches made read-only.  Keys are tuples that start with
+        the name of what they cache; they live as long as the context."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = _frozen(build())
+        return hit
 
     # -- censuses -------------------------------------------------------
 
@@ -229,44 +237,57 @@ class CategoryCtx:
 
     def realize(self, o: Obj) -> Module:
         """Canonical module for an Obj: interval summands in sorted order."""
-        key = o.ids
-        hit = self._realize_cache.get(key)
-        if hit is not None:
-            return hit
-        if not o.ids:
-            m = rc.zero_module(self.presentation, self.field)
-        else:
+        def build():
+            if not o.ids:
+                return rc.zero_module(self.presentation, self.field)
             parts = [rc.interval_module(self.presentation, self.field, i.a, i.b)
                      for i in o.ids]
-            m, _, _ = rc.direct_sum(parts, self.presentation, self.field)
-        self._realize_cache[key] = m
-        return m
+            return rc.direct_sum(parts, self.presentation, self.field)[0]
+        return self.cached(("realize", o.ids), build)
 
-    def identify(self, m: Module) -> Obj:
-        """Interval multiset of a module, via composite-map ranks."""
+    def _check_module(self, m: Module) -> None:
         if m.presentation != self.presentation or m.field != self.field:
             raise rc.ContextMismatchError("module lives over another category")
-        counts = rc.interval_multiset(m)
-        for (a, b) in counts:
-            if not self.presentation.admissible(a, b):
-                raise ValueError(f"module contains inadmissible interval [{a},{b}]")
-        return Obj.from_multiset(counts)
 
-    def identify_split(self, m: Module) -> tuple[Obj, rc.Decomposition]:
-        """identify plus an explicit splitting (for basis transport)."""
-        dec = rc.decompose(m)
-        obj = Obj(tuple(IndecId(a, b) for a, b in dec.intervals))
-        return obj, dec
+    def identify(self, m: Module) -> Obj:
+        """Interval multiset of a module, via composite-map ranks; cached
+        by module content."""
+        self._check_module(m)
+
+        def build():
+            counts = rc.interval_multiset(m)
+            for (a, b) in counts:
+                if not self.presentation.admissible(a, b):
+                    raise ValueError(f"module contains inadmissible interval [{a},{b}]")
+            return Obj.from_multiset(counts)
+        return self.cached(("identify", m.key), build)
 
     def canonical_iso_from(self, m: Module) -> tuple[Obj, Morphism, Morphism]:
-        """(obj, iso: realize(obj) -> m, inverse iso)."""
-        obj, dec = self.identify_split(m)
+        """(obj, iso: realize(obj) -> m, inverse iso).  The splitting is
+        cached by module content, its components packed as uint8 bytes; each
+        call rebuilds the isos onto the caller's own m."""
+        self._check_module(m)
+
+        def build():
+            dec = rc.decompose(m)
+            obj = Obj(tuple(IndecId(a, b) for a, b in dec.intervals))
+            canon = self.realize(obj)
+            fwd = rc.block_morphism(canon, m, dec.pieces, [m],
+                                    {(0, k): incl for k, incl in enumerate(dec.incls)})
+            bwd = rc.block_morphism(m, canon, [m], dec.pieces,
+                                    {(k, 0): proj for k, proj in enumerate(dec.projs)})
+            return obj, b"".join(c.astype(np.uint8).tobytes()
+                                 for c in fwd.comps + bwd.comps)
+
+        obj, packed = self.cached(("split", m.key), build)
         canon = self.realize(obj)
-        fwd = rc.block_morphism(canon, m, dec.pieces, [m],
-                                {(0, k): incl for k, incl in enumerate(dec.incls)})
-        bwd = rc.block_morphism(m, canon, [m], dec.pieces,
-                                {(k, 0): proj for k, proj in enumerate(dec.projs)})
-        return obj, fwd, bwd
+        dims = m.dims * 2  # fwd then bwd; every component is square
+        flat = np.split(np.frombuffer(packed, np.uint8).astype(np.int64),
+                        np.cumsum([d * d for d in dims])[:-1])
+        comps = [c.reshape(d, d) for c, d in zip(flat, dims)]
+        n = len(m.dims)
+        return (obj, Morphism._make(canon, m, comps[:n]),
+                Morphism._make(m, canon, comps[n:]))
 
     def dual_morphism(self, src: Obj, dst: Obj, mor: Morphism) -> Morphism:
         """D of mor: realize(src) -> realize(dst), conjugated by the
@@ -287,12 +308,8 @@ class CategoryCtx:
     # -- hom bases between canonical objects ----------------------------
 
     def hom_basis(self, src: Obj, dst: Obj) -> list[Morphism]:
-        key = (src.ids, dst.ids)
-        hit = self._hom_basis_cache.get(key)
-        if hit is None:
-            hit = rc.hom_space(self.realize(src), self.realize(dst))
-            self._hom_basis_cache[key] = hit
-        return hit
+        return self.cached(("hom_basis", src.ids, dst.ids),
+                           lambda: rc.hom_space(self.realize(src), self.realize(dst)))
 
     # -- extensions -----------------------------------------------------
 
@@ -311,13 +328,21 @@ class CategoryCtx:
         exact sequence first -> E -> third, by pushout along the projective
         presentation of `third`.  coeffs keys index (third summand, first
         summand); entries outside the Ext support must be absent or zero.
+        Cached per (third, first, class), the class reduced mod p.
         """
-        pres, fld = self.presentation, self.field
-        p = fld.p
+        p = self.field.p
         support = set(self.ext_matrix_support(third, first))
         for key, val in coeffs.items():
             if val % p and key not in support:
                 raise ValueError(f"coefficient at {key} is outside the Ext support")
+        cls = tuple(sorted((key, val % p) for key, val in coeffs.items() if val % p))
+        return self.cached(("ses", third.ids, first.ids, cls),
+                           lambda: self._pushout_ses(third, first, dict(cls)))
+
+    def _pushout_ses(self, third: Obj, first: Obj,
+                     coeffs: dict[tuple[int, int], int]) -> SES:
+        pres, fld = self.presentation, self.field
+        p = fld.p
         y_mod = self.realize(first)
         if third.is_zero:
             e = y_mod
@@ -372,6 +397,22 @@ class CategoryCtx:
                 ses = self.ses_for_class(Obj.of(x), Obj.of(y), {(0, 0): lam})
                 middles.append(self.identify(ses.middle))
         return middles
+
+
+def _frozen(value):
+    """value, with every numpy array it reaches made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _frozen(v)
+    elif isinstance(value, Module):
+        _frozen(value.maps)
+    elif isinstance(value, Morphism):
+        _frozen((value.source, value.target, value.comps))
+    elif isinstance(value, SES):
+        _frozen((value.i, value.p))
+    return value
 
 
 def generate(presentation: QuiverPresentation, fieldc: FieldChar,

@@ -13,8 +13,7 @@ import pytest
 
 from cotorsionlab import primefield as pf
 from cotorsionlab import repcore as rc
-from cotorsionlab.fixtures import (EXPECTED_H1_NONABELIAN, EXPECTED_HEART,
-                                   fixture_subcategories, paper_context)
+from cotorsionlab.fixtures import fixture_subcategories, paper_context
 from cotorsionlab.heartcat import (check_abelian, check_integral,
                                    enum_epi_triangles, heart_context,
                                    heart_morphism_from_coeffs,

@@ -1,5 +1,5 @@
+import ast
 import hashlib
-import json
 import pathlib
 
 import pytest
@@ -254,6 +254,21 @@ def test_bad_seed_exits_2(monkeypatch, capsys):
     assert "seed=7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("check-twin", "--bound-mult", "0"),
+    ("heart", "--bound-mult", "-1"),
+    ("check-integral", "--dim-cap", "0"),
+    ("check-abelian", "--dim-cap", "-5"),
+    ("probe", "--max-squares", "0"),
+    ("probe", "--max-squares", "-1")])
+def test_bounds_below_one_exit_2(command, flag, value, capsys):
+    assert main([command, "--category", CATEGORY, "--pairs",
+                 pairs_file("ex-abelian"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be at least 1" in captured.err
+    assert not captured.out
+
+
 # ---- replay --------------------------------------------------------------------
 
 def test_replay_accepts_stored_fixture_report(capsys):
@@ -342,3 +357,40 @@ def test_regen_script_output_matches_repo_fixtures(tmp_path):
     for f in sorted(FIXDIR.glob("*.json")):
         regen = (workdir / "fixtures" / f.name).read_text()
         assert regen == f.read_text(), f.name
+
+
+# ---- repository hygiene -------------------------------------------------------
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # names inside string annotations such as "CategoryCtx"
+    annotations = [n.annotation for n in ast.walk(tree)
+                   if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
+    annotations += [n.returns for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and n.returns]
+    for ann in annotations:
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [f"{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = FIXDIR.parent
+    files = [f for d in ("src", "scripts", "tests")
+             for f in sorted((root / d).rglob("*.py"))
+             if f.name != "__init__.py"]  # __init__ imports are re-exports
+    assert len(files) > 20
+    assert [u for f in files for u in _unused_imports(f)] == []

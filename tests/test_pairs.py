@@ -1,14 +1,12 @@
-from itertools import product
-
 import pytest
 
 from cotorsionlab.fixtures import (EXPECTED_H1_NONABELIAN, EXPECTED_HEART,
-                                   FIXTURES, fixture_subcategories)
+                                   fixture_subcategories)
 from cotorsionlab.pairs import (compute_hearts, degenerate_twin,
                                 membership_bminus, membership_bplus,
                                 verify_cotorsion, verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import SearchBounds, Subcategory, inter
+from cotorsionlab.subcat import Subcategory
 from cotorsionlab import repcore as rc
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cotorsionlab import primefield as pf
 from cotorsionlab import repcore as rc
-from cotorsionlab.repcore import (DecompositionInconclusiveError,
-                                  EnumerationRefusedError, FieldChar,
+from cotorsionlab.repcore import (EnumerationRefusedError, FieldChar,
                                   QuiverPresentation)
 from cotorsionlab.serialcat import IndecId, Obj, generate
 

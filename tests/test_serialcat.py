@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 
 from cotorsionlab import repcore as rc
 from cotorsionlab.repcore import FieldChar, QuiverPresentation
-from cotorsionlab.serialcat import (CategoryCtx, IndecId, Obj, ext_dim_brute,
-                                    generate)
+from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute, generate
 
 from oracles import ext_nonzero_by_ses_search, hom_dim_enumerated
 
@@ -243,3 +243,104 @@ def test_interval_parsing_round_trips(ctx):
         IndecId.parse("5/3")  # must descend by one
     with pytest.raises(ValueError):
         IndecId.parse("[4,3]")
+
+
+# ---- the per-context cache ---------------------------------------------------
+
+CACHE_ALGEBRAS = [(6, ((1, 5), (2, 6)), 2), (6, ((1, 5), (2, 6)), 3),
+                  (5, ((1, 3), (2, 5)), 2)]
+
+
+def _ses_bytes(ses):
+    return (ses.first.key, ses.middle.key, ses.third.key,
+            tuple(c.tobytes() for c in ses.i.comps + ses.p.comps))
+
+
+def _random_classes(ctx, rng, count):
+    ids = list(ctx.indecs)
+    out = []
+    while len(out) < count:
+        third = Obj(tuple(rng.choices(ids, k=rng.randint(1, 2))))
+        first = Obj(tuple(rng.choices(ids, k=rng.randint(1, 2))))
+        support = ctx.ext_matrix_support(third, first)
+        if support:
+            out.append((third, first, {cell: rng.randrange(2 * ctx.field.p)
+                                       for cell in support}))
+    return out
+
+
+@pytest.mark.parametrize("n,relations,p", CACHE_ALGEBRAS)
+def test_warm_and_fresh_contexts_realize_classes_identically(n, relations, p):
+    pres, fieldc = QuiverPresentation(n, relations), FieldChar(p)
+    warm = generate(pres, fieldc)
+    classes = _random_classes(warm, random.Random(n * 100 + p), 25)
+    first_pass = [warm.ses_for_class(*c) for c in classes]
+    for cls, ses in zip(classes, first_pass):
+        hit = warm.ses_for_class(*cls)
+        assert hit is ses
+        assert _ses_bytes(hit) == _ses_bytes(generate(pres, fieldc).ses_for_class(*cls))
+
+
+def test_equal_content_module_hits_the_split_cache(ctx, monkeypatch):
+    ses = ctx.ses_for_class(Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3)),
+                            {(0, 0): 1})
+    m = ses.middle
+    copy = rc.Module(m.presentation, m.field, m.dims, m.maps)
+    assert copy is not m and copy.key == m.key
+    cold_obj, cold_fwd, cold_bwd = generate(m.presentation, m.field).canonical_iso_from(copy)
+    ctx.canonical_iso_from(m)
+
+    def no_decompose(_):
+        raise AssertionError("split cache missed")
+    monkeypatch.setattr(rc, "decompose", no_decompose)
+    obj, fwd, bwd = ctx.canonical_iso_from(copy)
+    assert obj == cold_obj
+    assert fwd.target is copy and bwd.source is copy
+    assert fwd.source is ctx.realize(obj) and bwd.target is ctx.realize(obj)
+    for got, cold in ((fwd, cold_fwd), (bwd, cold_bwd)):
+        assert [c.tobytes() for c in got.comps] == [c.tobytes() for c in cold.comps]
+        got.validate()
+    for c, d in zip(fwd.then(bwd).comps, ctx.realize(obj).dims):
+        assert np.array_equal(c, np.eye(d, dtype=np.int64))
+
+
+def test_cached_arrays_are_read_only(ctx):
+    third, first = Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3))
+    ses = ctx.ses_for_class(third, first, {(0, 0): 1})
+    ctx.canonical_iso_from(ses.middle)
+    _, packed = ctx.cached(("split", ses.middle.key), pytest.fail)
+    arrays = [ses.i.comps[3], ses.p.comps[4], ses.middle.maps[2],
+              ctx.realize(third).maps[3],
+              ctx.hom_basis(first, Obj.of(IndecId(3, 5)))[0].comps[2]]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert isinstance(packed, bytes)
+
+
+def test_class_keys_are_reduced_mod_p(ctx):
+    third, first = Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3))
+    ses = ctx.ses_for_class(third, first, {(0, 0): 1})
+    p = ctx.field.p
+    assert ctx.ses_for_class(third, first, {(0, 0): p + 1}) is ses
+    assert ctx.ses_for_class(third, first, {(0, 0): 1, (0, 1): p}) is ses
+
+
+def test_bad_input_never_reaches_the_cache(ctx):
+    ctx5 = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(2))
+    third, first = Obj.of(IndecId(3, 3)), Obj.of(IndecId(2, 2))
+    assert ctx5.ext_matrix_support(third, first) == [(0, 0)]
+    bad = {(0, 0): 1, (0, 1): 1}
+    with pytest.raises(ValueError, match="outside the Ext support"):
+        ctx5.ses_for_class(third, first, bad)
+    ctx5.ses_for_class(third, first, {(0, 0): 1})
+    with pytest.raises(ValueError, match="outside the Ext support"):
+        ctx5.ses_for_class(third, first, bad)
+    # a module over another field with the same content key
+    m = ctx.realize(Obj.of(IndecId(3, 5)))
+    ctx.identify(m)
+    other = rc.Module(m.presentation, FieldChar(3), m.dims, m.maps)
+    assert other.key == m.key
+    for call in (ctx.identify, ctx.canonical_iso_from):
+        with pytest.raises(rc.ContextMismatchError):
+            call(other)

@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from cotorsionlab.fixtures import fixture_subcategories
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
-                                 find_left_approx, find_right_approx, inter,
-                                 left_perp, oplus, right_perp, star_member,
-                                 subcat_in_star)
+from cotorsionlab.subcat import (Subcategory, Verdict, find_left_approx,
+                                 find_right_approx, inter, left_perp, oplus,
+                                 right_perp, star_member, subcat_in_star)
 
 ALL_IDS = sorted(
     IndecId(a, b) for a in range(1, 7) for b in range(a, 7)
