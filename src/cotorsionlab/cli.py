@@ -236,8 +236,9 @@ def main(argv=None) -> int:
     except ff.FileFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        sys.stderr.write(f"error: {where}{exc.strerror or exc}\n")
         return EXIT_BAD_INPUT
 
 

@@ -39,23 +39,27 @@ def dumps_canonical(data) -> str:
 
 
 def write_json(path: str | Path, data) -> None:
-    """Atomic write: emit to a sibling temp file, then rename into place."""
+    """Atomic write: emit to a sibling temp file, then rename into place.
+    An OSError names `path`, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name, dir=path.parent or ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(dumps_canonical(data))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=path.name, dir=path.parent or ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(dumps_canonical(data))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def read_json(path: str | Path) -> dict:
     """A JSON object from a file; every file format here is an object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: expected a JSON object, "
@@ -82,12 +86,22 @@ def parse_category(data: dict) -> tuple[QuiverPresentation, FieldChar]:
     if data.get("kind") != "nakayama_linear":
         raise FileFormatError(f"unsupported category kind {data.get('kind')!r}")
     try:
-        pres = QuiverPresentation(int(data["n"]),
-                                  tuple((int(a), int(b)) for a, b in data["relations"]))
-        fieldc = FieldChar(int(data.get("field_char", 2)))
+        return _parse_algebra({"field_char": 2, **data})
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad category file: {exc}") from exc
-    return pres, fieldc
+
+
+def _parse_algebra(data: dict) -> tuple[QuiverPresentation, FieldChar]:
+    """The algebra and field of a category file or certificate context;
+    every number must be a JSON integer, not a float, string or bool."""
+    def num(key, value):
+        if type(value) is not int:
+            raise FileFormatError(f"{key} must be an integer, got {value!r}")
+        return value
+    relations = tuple((num("relation vertex", a), num("relation vertex", b))
+                      for a, b in data["relations"])
+    return (QuiverPresentation(num("n", data["n"]), relations),
+            FieldChar(num("field_char", data["field_char"])))
 
 
 def parse_relations_flag(text: str) -> tuple[tuple[int, int], ...]:
@@ -364,9 +378,8 @@ def dual_certificate(cert: dict) -> dict:
     non_integral_dual one over the opposite algebra, and back.  Stated ids
     are mapped, not recomputed, so a replay still checks every claim."""
     c = cert["context"]
-    n = int(c["n"])
-    pres = QuiverPresentation(n, tuple((int(a), int(b)) for a, b in c["relations"]))
-    fieldc = FieldChar(int(c["field_char"]))
+    pres, fieldc = _parse_algebra(c)
+    n = pres.n
     op = generate(pres.op, fieldc)
 
     def obj(text):
@@ -459,9 +472,7 @@ def replay_certificate(report: dict) -> list[str]:
             {**cert, "context": cert_ctx})}})
         return log + ["mapped through D to a non_integral certificate over "
                       "the opposite algebra"] + inner[1:]
-    pres = QuiverPresentation(int(cert_ctx["n"]),
-                              tuple((int(a), int(b)) for a, b in cert_ctx["relations"]))
-    fieldc = FieldChar(int(cert_ctx["field_char"]))
+    pres, fieldc = _parse_algebra(cert_ctx)
     ctx = generate(pres, fieldc)
     w_ids = _ids_from_strings(cert_ctx.get("W", [])) if "W" in cert_ctx else (
         _ids_from_strings(cert_ctx["U"]) & _ids_from_strings(cert_ctx["T"]))

@@ -459,20 +459,23 @@ def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None,
     triangles combine under direct sums, so coverage is the cone over
     the emitted stream.  Bounded, not exhaustive.
     """
-    bounds = bounds or h.bounds
+    for _, tris in _epi_blocks(h, bounds or h.bounds, max_summands, class_cells_cap):
+        yield from tris
+
+
+def _epi_blocks(h: HeartContext, bounds: SearchBounds, max_summands: int = 2,
+                class_cells_cap: int = 8):
+    """enum_epi_triangles as (third term, lazy triangles onto it) pairs, so
+    a caller realizes the classes of only the third terms it asks for."""
     ctx = h.ctx
-    p = ctx.field.p
+    zero = ctx.realize(Obj(()))
     heart_sorted = sorted(h.heart_ids)
-    for a in heart_sorted:
-        obj = Obj.of(a)
-        ses = rc.SES(rc.identity(ctx.realize(obj)),
-                     rc.zero_morphism(ctx.realize(obj), ctx.realize(Obj(()))))
-        yield HeartTriangle("epi", obj, obj, Obj(()), ses)
-    for w in sorted(h.w_ids & h.tp.u.ids):
-        obj = Obj.of(w)
-        ses = rc.SES(rc.zero_morphism(ctx.realize(Obj(())), ctx.realize(obj)),
-                     rc.identity(ctx.realize(obj)))
-        yield HeartTriangle("epi", Obj(()), obj, obj, ses)
+    yield Obj(()), (HeartTriangle("epi", o, o, Obj(()), rc.SES(
+        rc.identity(ctx.realize(o)), rc.zero_morphism(ctx.realize(o), zero)))
+        for o in map(Obj.of, heart_sorted))
+    for w in map(Obj.of, sorted(h.w_ids & h.tp.u.ids)):
+        yield w, iter([HeartTriangle("epi", Obj(()), w, w, rc.SES(
+            rc.zero_morphism(zero, ctx.realize(w)), rc.identity(ctx.realize(w))))])
     a_pool = [x for x in heart_sorted
               if any(ctx.ext_dim(u, x) == 1 for u in h.tp.u.ids)]
     u_pool = [u for u in sorted(h.tp.u.ids)
@@ -482,26 +485,47 @@ def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None,
     u_cands = [o for o in _bounded_multisets(u_pool, bounds, ctx, max_summands)
                if not o.is_zero]
     for u0 in u_cands:
-        for a0 in a_cands:
-            support = ctx.ext_matrix_support(u0, a0)
-            if len(support) > class_cells_cap:
+        yield u0, _epi_triangles_onto(h, u0, a_cands, class_cells_cap)
+
+
+def _epi_triangles_onto(h: HeartContext, u0: Obj, a_cands, class_cells_cap: int):
+    """The validated epi-triangles a0 -> mid -> u0, a0 in a_cands order."""
+    ctx = h.ctx
+    for a0 in a_cands:
+        support = ctx.ext_matrix_support(u0, a0)
+        if len(support) > class_cells_cap:
+            continue
+        rows = {i for i, _ in support}
+        cols = {j for _, j in support}
+        if len(rows) < len(u0.ids) or len(cols) < len(a0.ids):
+            continue  # some summand would split off
+        for coeffs in _reduced_classes(support, len(u0.ids), len(a0.ids), ctx.field.p):
+            ses = ctx.ses_for_class(u0, a0, coeffs)
+            mid = ctx.identify(ses.middle)
+            if not mid.summands_in(h.heart_ids):
                 continue
-            rows = {i for i, _ in support}
-            cols = {j for _, j in support}
-            if len(rows) < len(u0.ids) or len(cols) < len(a0.ids):
-                continue  # some summand would split off
-            for coeffs in _reduced_classes(support, len(u0.ids), len(a0.ids), p):
-                ses = ctx.ses_for_class(u0, a0, coeffs)
-                mid = ctx.identify(ses.middle)
-                if not mid.summands_in(h.heart_ids):
-                    continue
-                _, fwd, bwd = ctx.canonical_iso_from(ses.middle)
-                canon_i = ses.i.then(bwd)
-                canon_p = fwd.then(ses.p)
-                if not h.core_monic(a0, mid, canon_i):
-                    continue
-                canon = rc.SES(canon_i, canon_p)
-                yield HeartTriangle("epi", a0, mid, u0, canon)
+            _, fwd, bwd = ctx.canonical_iso_from(ses.middle)
+            canon_i = ses.i.then(bwd)
+            if h.core_monic(a0, mid, canon_i):
+                yield HeartTriangle("epi", a0, mid, u0, rc.SES(canon_i, fwd.then(ses.p)))
+
+
+def _first_triangles(h: HeartContext, bounds: SearchBounds, wanted):
+    """(third term, first triangle) of each block of _epi_blocks whose third
+    term passes wanted(third), asked before the block is realized."""
+    for third, tris in _epi_blocks(h, bounds):
+        t = next(tris, None) if wanted(third) else None
+        if t is not None:
+            yield third, t
+
+
+def _epi_cone(h: HeartContext, bounds: SearchBounds) -> WitnessCone:
+    """WitnessCone of enum_epi_triangles(h, bounds); realizes one triangle
+    per third term that no earlier triangle witnesses."""
+    reps = {}
+    for third, t in _first_triangles(h, bounds, lambda u: not (u.is_zero or u in reps)):
+        reps[third] = t
+    return WitnessCone(h.ctx, reps.items())
 
 
 def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None,
@@ -510,12 +534,17 @@ def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None,
     core-epic, witnessing T in the mono class: D of the epi-triangles of
     the D-heart, within the same bounds."""
     d = h.dual()
-    n = h.ctx.presentation.n
     for t in enum_epi_triangles(d, bounds, max_summands, class_cells_cap):
-        ses = rc.SES(d.ctx.dual_morphism(t.middle, t.third, t.ses.p),
-                     d.ctx.dual_morphism(t.first, t.middle, t.ses.i))
-        yield HeartTriangle("mono", t.third.dual(n), t.middle.dual(n),
-                            t.first.dual(n), ses)
+        yield _mono_of(d, t)
+
+
+def _mono_of(d: HeartContext, t: HeartTriangle) -> HeartTriangle:
+    """D of an epi-triangle of the D-heart d: a mono-triangle of d.dual()."""
+    n = d.ctx.presentation.n
+    ses = rc.SES(d.ctx.dual_morphism(t.middle, t.third, t.ses.p),
+                 d.ctx.dual_morphism(t.first, t.middle, t.ses.i))
+    return HeartTriangle("mono", t.third.dual(n), t.middle.dual(n),
+                         t.first.dual(n), ses)
 
 
 class WitnessCone:
@@ -614,11 +643,10 @@ def _certificate_z_candidates(h: HeartContext, member_ids, outside,
     summand outside `outside`, ascending by (dim, lex).  The summand and
     dimension caps keep the complete submodule scan of each candidate
     affordable; coverage is reported as bounded."""
-    cands = [o for o in _bounded_multisets(
-                 member_ids, bounds, h.ctx, max_summands,
-                 min(bounds.dim_cap, dim_cap))
-             if not o.is_zero and not o.summands_in(outside)]
-    return cands
+    return [o for o in _bounded_multisets(
+                member_ids, bounds, h.ctx, max_summands,
+                min(bounds.dim_cap, dim_cap))
+            if not o.is_zero and not o.summands_in(outside)]
 
 
 def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
@@ -674,7 +702,7 @@ def _non_integral_certificate(h: HeartContext, bounds: SearchBounds) -> dict | N
     cone of witnessed epi-triangle third terms.  On the D-heart this is
     the mono-triangle criterion."""
     ctx = h.ctx
-    epi_cone = WitnessCone(ctx, [(t.third, t) for t in enum_epi_triangles(h, bounds)])
+    epi_cone = _epi_cone(h, bounds)
     minus_ids = sorted(h.hearts.main.minus_ids())
     for z in _certificate_z_candidates(h, minus_ids, h.tp.u.ids, bounds):
         ses = _star_member_cone(ctx, z, h.tp.t, epi_cone, bounds.dim_cap)
@@ -722,6 +750,28 @@ def _heart_witness_payload(h: HeartContext, ids) -> dict:
     return out
 
 
+def _condition_verdict(h: HeartContext, cond: int,
+                       bounds: SearchBounds) -> Verdict | None:
+    """Fails on abelian condition (2), from the first epi-triangle whose
+    third term leaves S+W, or (3), from the first mono-triangle whose first
+    term leaves V+W: (2) on the D-heart, where S'+W' = D(V+W)."""
+    d = h if cond == 2 else h.dual()
+    t = next((t for _, t in _first_triangles(
+        d, bounds, lambda u: not u.summands_in(d.tp.s.ids | d.w_ids))), None)
+    if t is None:
+        return None
+    term, allowed, where = "third", h.tp.s.ids, "S+W"
+    if cond == 3:
+        t, term, allowed, where = _mono_of(d, t), "first", h.tp.v.ids, "V+W"
+    obj = getattr(t, term)
+    bad = next(x for x in obj.ids if x not in allowed | h.w_ids)
+    cert = {"kind": "non_abelian", "condition": cond, f"{term}_term": str(obj),
+            "offending_summand": str(bad), f"{t.kind}_triangle": t.payload(h.ctx)}
+    return Verdict(status="fails", route=f"condition ({cond}): witnessed "
+                   f"{t.kind}-triangle {term} term outside {where}",
+                   certificate=cert, bounds=bounds)
+
+
 def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
     """Decision ladder for abelianness of the heart.
 
@@ -734,7 +784,6 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
     counterexample.  Holds requires a theorem route.
     """
     bounds = bounds or h.bounds
-    ctx = h.ctx
     lhs = frozenset(h.surviving)
     h1 = h.hearts.first.heart_ids()
     h2 = h.hearts.second.heart_ids()
@@ -762,31 +811,12 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
                              "single-pair hearts",
                        certificate=cert, bounds=bounds, exhaustive=True)
 
-    s_plus_w = h.tp.s.ids | h.w_ids
-    for t in enum_epi_triangles(h, bounds):
-        bad = [x for x in t.third.ids if x not in s_plus_w]
-        if bad:
-            cert = {"kind": "non_abelian", "condition": 2,
-                    "third_term": str(t.third),
-                    "offending_summand": str(bad[0]),
-                    "epi_triangle": t.payload(ctx)}
-            return Verdict(status="fails",
-                           route="condition (2): witnessed epi-triangle "
-                                 "third term outside S+W",
-                           certificate=cert, bounds=bounds)
-    v_plus_w = h.tp.v.ids | h.w_ids
-    for t in enum_mono_triangles(h, bounds):
-        bad = [x for x in t.first.ids if x not in v_plus_w]
-        if bad:
-            cert = {"kind": "non_abelian", "condition": 3,
-                    "first_term": str(t.first),
-                    "offending_summand": str(bad[0]),
-                    "mono_triangle": t.payload(ctx)}
-            return Verdict(status="fails",
-                           route="condition (3): witnessed mono-triangle "
-                                 "first term outside V+W",
-                           certificate=cert, bounds=bounds)
-
+    # (2) and (3) cannot fail on the zero heart or a one-simple-object heart
+    by_theorem = not h.surviving or _semisimple_shortcut(h)
+    for cond in (() if by_theorem and not taint else (2, 3)):
+        failed = _condition_verdict(h, cond, bounds)
+        if failed is not None:
+            return failed
     if not h.surviving:
         return Verdict(status="holds", route="zero-heart", bounds=bounds)
     if _semisimple_shortcut(h):

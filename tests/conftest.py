@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import hypothesis
 import pytest
 
@@ -5,7 +7,10 @@ from cotorsionlab.fixtures import (FIXTURES, fixture_subcategories,
                                    paper_context)
 from cotorsionlab.heartcat import heart_context
 from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
-from cotorsionlab.subcat import SearchBounds
+from cotorsionlab.repcore import FieldChar, QuiverPresentation
+from cotorsionlab.serialcat import generate
+from cotorsionlab.subcat import (SearchBounds, Subcategory, left_perp,
+                                 right_perp)
 
 hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None,
@@ -52,3 +57,25 @@ def ex_abelian(setups):
 @pytest.fixture(scope="session")
 def ex_nonabelian(setups):
     return setups["ex-nonabelian"]
+
+
+@pytest.fixture(scope="session")
+def census_a5():
+    """Heart contexts of the 237 twins of n=5, relations {1-3, 2-5}, at
+    F_2: every pair ((S,T),(U,V)) of complete cotorsion pairs
+    (lperp(rperp X), rperp X) with S inside U."""
+    ctx = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(2))
+    bounds = SearchBounds()
+    found = set()
+    for k in range(len(ctx.indecs) + 1):
+        for xs in combinations(ctx.indecs, k):
+            t = right_perp(ctx, Subcategory(frozenset(xs)))
+            found.add((left_perp(ctx, t).ids, t.ids))
+    cps = [verify_cotorsion(ctx, Subcategory(s, "S"), Subcategory(t, "T"), bounds)
+           for s, t in sorted(found, key=lambda st: (sorted(st[0]), sorted(st[1])))]
+    cps = [cp for cp in cps if cp.verdict.holds]
+    twins = [verify_twin(ctx, st, uv) for st in cps for uv in cps
+             if st.u.ids <= uv.u.ids]
+    assert len(twins) == 237 and all(tp.verdict.holds for tp in twins)
+    return [heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+            for tp in twins]

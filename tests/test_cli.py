@@ -238,6 +238,62 @@ def test_non_object_json_exits_2(where, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["category", "pairs", "report", "replay", "out"])
+def test_directory_paths_exit_2(where, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {"category": ["check-twin", "--category", str(folder),
+                         "--pairs", pairs_file("ex-abelian")],
+            "pairs": ["check-twin", "--category", CATEGORY, "--pairs", str(folder)],
+            "report": ["heart", "--category", CATEGORY,
+                       "--pairs", pairs_file("ex-abelian"), "--report", str(folder)],
+            "replay": ["replay", str(folder)],
+            "out": ["generate", "--n", "3", "--out", str(folder)]}[where]
+    assert main(argv) == 2
+    assert f"error: {folder}: " in capsys.readouterr().err
+
+
+def test_write_into_missing_directory_names_the_given_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["generate", "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+    with pytest.raises(FileNotFoundError) as info:
+        ff.write_json(out, {})
+    assert info.value.filename == str(out)
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["replay", str(binary)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 6.9), ("n", "6"), ("n", True), ("field_char", 2.5),
+    ("relations", [[1.9, 5], [2, 6]])])
+def test_non_integer_category_fields_exit_2(field, value, tmp_path, capsys):
+    data = ff.read_json(CATEGORY)
+    data[field] = value
+    path = tmp_path / "category.json"
+    ff.write_json(path, data)
+    assert main(["check-twin", "--category", str(path),
+                 "--pairs", pairs_file("ex-abelian")]) == 2
+    assert "error: bad category file: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,bad", [
+    ("n", 6.0, 6.0), ("field_char", "2", "2"), ("relations", [[1, 5], [2, 6.0]], 6.0)])
+def test_replay_rejects_non_integer_context_fields(field, value, bad, tmp_path,
+                                                   capsys):
+    data = ff.read_json(FIXDIR / "ex-nonintegral.integral-report.json")
+    data["verdict"]["certificate"]["context"][field] = value
+    path = tmp_path / "report.json"
+    ff.write_json(path, data)
+    assert main(["replay", str(path)]) == 4
+    assert f"must be an integer, got {bad!r}" in capsys.readouterr().out
+
+
 def test_bad_seed_exits_2(monkeypatch, capsys):
     from cotorsionlab.repcore import decompose_generic
     monkeypatch.setenv("COTORSION_LAB_SEED", "seven")
