@@ -177,31 +177,41 @@ class _ExprParser:
             return (name, args)
         return ("name", name)
 
-    def interval_bracket(self) -> IndecId:
+    # interval nodes keep their text; _entry_id parses and checks it
+    def interval_bracket(self) -> str:
         self.take("[")
-        a = int(self.take())
+        a = self.take()
         self.take(",")
-        b = int(self.take())
+        b = self.take()
         self.take("]")
-        return IndecId(a, b)
+        return f"[{a},{b}]"
 
-    def interval_stack(self) -> IndecId:
-        verts = [int(self.take())]
+    def interval_stack(self) -> str:
+        verts = [self.take()]
         while self.peek() == "/":
             self.take("/")
-            verts.append(int(self.take()))
-        if verts != list(range(verts[0], verts[0] - len(verts), -1)):
-            raise FileFormatError(f"stacked interval must descend by one: {verts}")
-        return IndecId(verts[-1], verts[0])
+            verts.append(self.take())
+        return "/".join(verts)
 
 
-def _eval_expr(node, ctx: CategoryCtx, env: dict, resolving: set) -> frozenset[IndecId]:
+def _entry_id(name: str, entry, ctx: CategoryCtx) -> IndecId:
+    """The indecomposable that an entry of subcategory `name` (a list item
+    or an interval in its expression) denotes, such as "[3,5]" or "5/4/3"."""
+    try:
+        if not isinstance(entry, str):
+            raise ValueError("an entry must be a string")
+        return ctx.check_id(IndecId.parse(entry))
+    except ValueError as exc:
+        raise FileFormatError(f"subcategory {name!r}, entry {entry!r}: {exc}") from None
+
+
+def _eval_expr(node, name: str, ctx: CategoryCtx, env: dict, resolving: set) -> frozenset[IndecId]:
     kind = node[0]
     if kind == "interval":
-        return frozenset({ctx.check_id(node[1])})
+        return frozenset({_entry_id(name, node[1], ctx)})
     if kind == "name":
         return _resolve_name(node[1], ctx, env, resolving)
-    args = [_eval_expr(a, ctx, env, resolving) for a in node[1]]
+    args = [_eval_expr(a, name, ctx, env, resolving) for a in node[1]]
     if kind in ("add", "oplus"):
         out: frozenset[IndecId] = frozenset()
         for a in args:
@@ -233,9 +243,9 @@ def _resolve_name(name: str, ctx: CategoryCtx, env: dict, resolving: set) -> fro
     resolving.add(name)
     raw = env[name]
     if isinstance(raw, list):
-        ids = frozenset(ctx.check_id(IndecId.parse(s)) for s in raw)
+        ids = frozenset(_entry_id(name, s, ctx) for s in raw)
     elif isinstance(raw, str):
-        ids = _eval_expr(_ExprParser(_tokenize(raw)).parse(), ctx, env, resolving)
+        ids = _eval_expr(_ExprParser(_tokenize(raw)).parse(), name, ctx, env, resolving)
     else:
         raise FileFormatError(f"subcategory {name!r} must be a list or expression string")
     resolving.discard(name)

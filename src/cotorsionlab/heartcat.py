@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -138,7 +139,7 @@ class HeartContext:
                      "st_right": self.tp.st.right, "uv_left": self.tp.uv.left}[kind]
             parts = [table[x] for x in o.ids]
             mids = [s.middle for s in parts]
-            total = rc.direct_sum(mids, self.ctx.presentation, self.ctx.field)[0]
+            total = rc.direct_sum(mids, self.ctx.presentation, self.ctx.field)
             if kind == "uv_left":
                 return rc.block_morphism(total, self.ctx.realize(o), mids,
                                          [s.third for s in parts],
@@ -165,11 +166,6 @@ class HeartContext:
                 return False
         return True
 
-    def core_epic(self, src: Obj, dst: Obj, mor: rc.Morphism) -> bool:
-        n = self.ctx.presentation.n
-        return self.dual().core_monic(dst.dual(n), src.dual(n),
-                                      self.ctx.dual_morphism(src, dst, mor))
-
 
 @dataclass(frozen=True)
 class HeartMorphism:
@@ -177,7 +173,8 @@ class HeartMorphism:
 
     `mor` runs between the canonical realizations of src and dst; the
     coset data (core-ideal subspace of the hom space) lives in the
-    HeartContext caches.
+    HeartContext caches.  Its dual and its pushout are computed once, on
+    first use.
     """
 
     hctx: HeartContext
@@ -195,9 +192,20 @@ class HeartMorphism:
     def dual(self) -> "HeartMorphism":
         """D(f): D(dst) -> D(src) in the D-heart, between canonical
         realizations."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "HeartMorphism":
         n = self.hctx.ctx.presentation.n
         return HeartMorphism(self.hctx.dual(), self.dst.dual(n), self.src.dual(n),
                              self.hctx.ctx.dual_morphism(self.src, self.dst, self.mor))
+
+    @cached_property
+    def pushout(self) -> tuple[rc.Module, rc.Morphism]:
+        """The pushout of f along the core envelope w: A -> W^A: the
+        cokernel D of (f; w): A -> B + W^A, with its leg B -> D."""
+        dmod, q = rc.cokernel(_combined_inflation(self.hctx, self))
+        return dmod, _first_leg(q, self.hctx.ctx.realize(self.dst))
 
 
 def heart_morphism_from_coeffs(hctx: HeartContext, a: Obj, b: Obj,
@@ -237,24 +245,26 @@ def is_w_epic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
 # -- epi / mono in the heart (two methods, agreement enforced) ------------
 
 
-def _combined_inflation(h: HeartContext,
-                        hm: HeartMorphism) -> tuple[rc.Morphism, rc.Morphism]:
-    """(f; w): A -> B + W^A, and the inclusion of B into B + W^A."""
+def _combined_inflation(h: HeartContext, hm: HeartMorphism) -> rc.Morphism:
+    """(f; w): A -> B + W^A."""
     winf = h.witness_map("bminus", hm.src)
     a, b = h.ctx.realize(hm.src), h.ctx.realize(hm.dst)
-    bw, incls, _ = rc.direct_sum([b, winf.target], h.ctx.presentation, h.ctx.field)
-    combined = rc.block_morphism(a, bw, [a], [b, winf.target],
-                                 {(0, 0): hm.mor, (1, 0): winf})
-    return combined, incls[0]
+    bw = rc.direct_sum([b, winf.target], h.ctx.presentation, h.ctx.field)
+    return rc.block_morphism(a, bw, [a], [b, winf.target],
+                             {(0, 0): hm.mor, (1, 0): winf})
+
+
+def _first_leg(q: rc.Morphism, first: rc.Module) -> rc.Morphism:
+    """q on `first`, the first summand of its source: a column slice, copied."""
+    return rc.Morphism._make(first, q.target,
+                             [c[:, :d].copy() for c, d in zip(q.comps, first.dims)])
 
 
 def _epi_by_criterion(hm: HeartMorphism) -> tuple[bool, Obj]:
     """Cokernel criterion: push A into B + W^A; epi iff the cokernel of
     the combined inflation lies in add(U)."""
     h = hm.hctx
-    combined, _ = _combined_inflation(h, hm)
-    cok, _ = rc.cokernel(combined)
-    obj = h.ctx.identify(cok)
+    obj = h.ctx.identify(hm.pushout[0])
     return obj.summands_in(h.tp.u.ids), obj
 
 
@@ -314,9 +324,7 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
     ctx = h.ctx
     p = ctx.field.p
     notes: list[str] = []
-    combined, incl_b = _combined_inflation(h, hm)
-    dmod, q = rc.cokernel(combined)
-    uleg = incl_b.then(q)                  # B -> D
+    dmod, uleg = hm.pushout                # uleg: B -> D
 
     dobj, dfwd, dbwd = ctx.canonical_iso_from(dmod)
     u_raw = h.witness_map("uv_left", dobj)  # U1 ->> realize(dobj)
@@ -328,12 +336,11 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
         notes.append(f"envelope of {u1obj} left the core: {t2obj}")
     uD = u_raw.then(dfwd)                  # U1sum -> D
     t2U = u1bwd.then(t2)                   # U1sum -> T2
-    big, bincls, _ = rc.direct_sum([dmod, t2.target],
-                                   ctx.presentation, ctx.field)
+    big = rc.direct_sum([dmod, t2.target], ctx.presentation, ctx.field)
     po_map = rc.block_morphism(u1sum, big, [u1sum], [dmod, t2.target],
                                {(0, 0): uD, (1, 0): t2U.scale(p - 1)})
     dplus, qq = rc.cokernel(po_map)
-    dleg = bincls[0].then(qq)              # D -> D^+
+    dleg = _first_leg(qq, dmod)            # D -> D^+
     cobj2, _, cbwd2 = ctx.canonical_iso_from(dplus)
     if not cobj2.summands_in(h.heart_ids):
         notes.append(f"cokernel object {cobj2} has summands outside the "
@@ -885,8 +892,7 @@ def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
                         b = heart_morphism_from_coeffs(h, bobj, dobj, bco)
                         # the map (b, -d): B + C -> D, then its heart kernel
                         parts = [ctx.realize(bobj), ctx.realize(cobj)]
-                        big, _, two_projs = rc.direct_sum(
-                            parts, ctx.presentation, ctx.field)
+                        big = rc.direct_sum(parts, ctx.presentation, ctx.field)
                         comb = rc.block_morphism(
                             big, ctx.realize(dobj), parts, [ctx.realize(dobj)],
                             {(0, 0): b.mor, (0, 1): d.mor.scale(p - 1)})
@@ -895,9 +901,11 @@ def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
                         kobj, kmor, notes = kernel_in_heart(hm)
                         if notes:
                             continue
-                        leg = HeartMorphism(
-                            h, kobj, bobj,
-                            kmor.mor.then(fwd).then(two_projs[0]))
+                        # the first row block of kmor . fwd: K -> B + C
+                        leg = HeartMorphism(h, kobj, bobj, rc.Morphism._make(
+                            kmor.mor.source, parts[0],
+                            [c[:d] for c, d in zip(kmor.mor.then(fwd).comps,
+                                                   parts[0].dims)]))
                         if not is_epi_in_heart(leg):
                             cert = {
                                 "kind": "non_integral_square",

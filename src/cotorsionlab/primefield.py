@@ -138,8 +138,7 @@ def inv(a, p: int) -> np.ndarray | None:
     a = asmat(a, p)
     if a.shape[0] != a.shape[1]:
         return None
-    x = solve(a, eye(a.shape[0]), p)
-    return x
+    return solve(a, eye(a.shape[0]), p)
 
 
 def column_space_basis(a, p: int) -> np.ndarray:
@@ -152,22 +151,18 @@ def column_space_basis(a, p: int) -> np.ndarray:
 def complement_projector(basis, dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """For a subspace spanned by `basis` (dim x r) return (q, s) with
     q: F^dim -> F^(dim-r) surjective, ker(q) = span(basis), and s a right
-    inverse of q built from standard basis vectors at non-pivot rows."""
+    inverse of q built from standard basis vectors at non-pivot rows.  With
+    R = rref(basis^T), q is the identity on the free rows F and -R[:, F]^T on
+    the pivot rows: it kills every row of R, and q s = 1."""
     b = asmat(basis, p)
     if b.shape[0] != dim:
         raise ValueError("basis has wrong ambient dimension")
-    bcols = column_space_basis(b, p)
-    r = bcols.shape[1]
-    _, pivots = rref(bcols.T, p)  # pivot rows of the subspace
+    red, pivots = rref(b.T, p)
     free_rows = [i for i in range(dim) if i not in pivots]
     ext = zeros(dim, len(free_rows))
-    for j, fr in enumerate(free_rows):
-        ext[fr, j] = 1
-    full = np.hstack([bcols, ext])
-    fi = inv(full, p)
-    if fi is None:
-        raise ArithmeticError("complement construction failed")
-    q = fi[r:, :]
+    ext[free_rows, range(len(free_rows))] = 1
+    q = ext.T.copy()
+    q[:, pivots] = (-red[:len(pivots), free_rows].T) % p
     return q, ext
 
 

@@ -456,8 +456,9 @@ class SES:
 
 
 def direct_sum(modules: list[Module], presentation: QuiverPresentation,
-               fieldc: FieldChar) -> tuple[Module, list[Morphism], list[Morphism]]:
-    """Block-diagonal direct sum with canonical inclusions and projections."""
+               fieldc: FieldChar) -> Module:
+    """Block-diagonal direct sum.  A map out of (into) it restricts to a
+    summand as a column (row) slice of its components."""
     n = presentation.n
     dims = [sum(m.dims[v] for m in modules) for v in range(n)]
     maps = []
@@ -470,21 +471,7 @@ def direct_sum(modules: list[Module], presentation: QuiverPresentation,
             ro += b.shape[0]
             co += b.shape[1]
         maps.append(mat)
-    total = Module(presentation, fieldc, dims, maps, validate=False)
-    incls, projs = [], []
-    offsets = [0] * n
-    for m in modules:
-        icomps, pcomps = [], []
-        for v in range(n):
-            ic = pf.zeros(dims[v], m.dims[v])
-            ic[offsets[v]:offsets[v] + m.dims[v], :] = pf.eye(m.dims[v])
-            icomps.append(ic)
-            pcomps.append(ic.T.copy())
-        incls.append(Morphism(m, total, icomps, validate=False))
-        projs.append(Morphism(total, m, pcomps, validate=False))
-        for v in range(n):
-            offsets[v] += m.dims[v]
-    return total, incls, projs
+    return Module(presentation, fieldc, dims, maps, validate=False)
 
 
 def block_morphism(source: Module, target: Module, source_parts, target_parts,
@@ -541,9 +528,8 @@ def submodules(m: Module, dim_cap: int = 24):
             prev = chosen[-1]
             required = (m.maps[v - 1] @ prev) % p
         req_basis = pf.column_space_basis(required, p)
-        r = req_basis.shape[1]
-        q, sect = pf.complement_projector(req_basis, d, p)
-        for sub_q in pf.enumerate_subspaces(d - r, p):
+        sect = pf.complement_projector(req_basis, d, p)[1]
+        for sub_q in pf.enumerate_subspaces(sect.shape[1], p):
             lifted = (sect @ sub_q) % p
             basis = np.hstack([req_basis, lifted])
             chosen.append(basis)

@@ -242,7 +242,7 @@ class CategoryCtx:
                 return rc.zero_module(self.presentation, self.field)
             parts = [rc.interval_module(self.presentation, self.field, i.a, i.b)
                      for i in o.ids]
-            return rc.direct_sum(parts, self.presentation, self.field)[0]
+            return rc.direct_sum(parts, self.presentation, self.field)
         return self.cached(("realize", o.ids), build)
 
     def _check_module(self, m: Module) -> None:
@@ -352,10 +352,10 @@ class CategoryCtx:
                   if o is not None]
         o_parts = [self.realize_id(o) for _, o in omegas]
         py_parts = [self.realize_id(x) for x in covers + list(first.ids)]
-        omod = rc.direct_sum(o_parts, pres, fld)[0]
-        pmod = rc.direct_sum(py_parts[:len(covers)], pres, fld)[0]
+        omod = rc.direct_sum(o_parts, pres, fld)
+        pmod = rc.direct_sum(py_parts[:len(covers)], pres, fld)
         x_mod = self.realize(third)
-        py, incls, _ = rc.direct_sum([pmod, y_mod], pres, fld)
+        py = rc.direct_sum([pmod, y_mod], pres, fld)
 
         # h = (iota, -phi): omega -> P + first, with iota the canonical
         # inclusion summand by summand and phi the canonical components
@@ -372,7 +372,6 @@ class CategoryCtx:
                     blocks[len(covers) + j, k] = can.scale(p - c)
         h = rc.block_morphism(omod, py, o_parts, py_parts, blocks)
         e_mod, q = rc.cokernel(h)
-        u = incls[1].then(q)
         # v: E -> third, descends from (cover, 0): P + first -> third
         cover0 = rc.block_morphism(
             py, x_mod, py_parts, [self.realize_id(x) for x in third.ids],
@@ -385,7 +384,9 @@ class CategoryCtx:
                 raise ArithmeticError("pushout projection failed (bug)")
             vcomps.append(sol)
         v = Morphism(e_mod, x_mod, vcomps)
-        return SES(Morphism(y_mod, e_mod, u.comps), v)
+        # u: first -> E is q on the columns past those of P
+        u = [c[:, d:] for c, d in zip(q.comps, pmod.dims)]
+        return SES(Morphism(y_mod, e_mod, u), v)
 
     def extensions(self, x: IndecId, y: IndecId) -> list[Obj]:
         """Decomposed middle term for each class of Ext(x, y), split first."""

@@ -120,15 +120,63 @@ def _multisets_with_dims(ctx: CategoryCtx, want):
     yield from rec(0, list(want), [])
 
 
+def direct_sum_embeddings(modules, presentation, fieldc):
+    """repcore.direct_sum with its canonical inclusions and projections,
+    each built as an identity block at the summand's offsets."""
+    from cotorsionlab import repcore as rc
+
+    total = rc.direct_sum(modules, presentation, fieldc)
+    incls, projs = [], []
+    offsets = [0] * presentation.n
+    for m in modules:
+        icomps = []
+        for v in range(presentation.n):
+            ic = pf.zeros(total.dims[v], m.dims[v])
+            ic[offsets[v]:offsets[v] + m.dims[v], :] = pf.eye(m.dims[v])
+            icomps.append(ic)
+            offsets[v] += m.dims[v]
+        incls.append(rc.Morphism(m, total, icomps))
+        projs.append(rc.Morphism(total, m, [ic.T for ic in icomps]))
+    return total, incls, projs
+
+
 def block_morphism_by_sum(source_parts, target_parts, blocks, presentation,
                           fieldc):
     """repcore.block_morphism by its definition: the sum over the blocks
     f = blocks[j, i] of proj_i . f . incl_j, with direct_sum's embeddings."""
     from cotorsionlab import repcore as rc
 
-    src, _, projs = rc.direct_sum(source_parts, presentation, fieldc)
-    dst, incls, _ = rc.direct_sum(target_parts, presentation, fieldc)
+    src, _, projs = direct_sum_embeddings(source_parts, presentation, fieldc)
+    dst, incls, _ = direct_sum_embeddings(target_parts, presentation, fieldc)
     out = rc.zero_morphism(src, dst)
     for (j, i), f in blocks.items():
         out = out.add(projs[i].then(f).then(incls[j]))
     return out
+
+
+def complement_projector_by_inverse(basis, dim, p):
+    """primefield.complement_projector by three eliminations and an inverse:
+    a column basis of the subspace, its pivot rows, then q as the bottom
+    rows of the inverse of [column basis | standard vectors at free rows]."""
+    b = pf.asmat(basis, p)
+    if b.shape[0] != dim:
+        raise ValueError("basis has wrong ambient dimension")
+    bcols = pf.column_space_basis(b, p)
+    r = bcols.shape[1]
+    _, pivots = pf.rref(bcols.T, p)  # pivot rows of the subspace
+    free_rows = [i for i in range(dim) if i not in pivots]
+    ext = pf.zeros(dim, len(free_rows))
+    for j, fr in enumerate(free_rows):
+        ext[fr, j] = 1
+    fi = pf.inv(np.hstack([bcols, ext]), p)
+    if fi is None:
+        raise ArithmeticError("complement construction failed")
+    return fi[r:, :], ext
+
+
+def core_epic(h, src: Obj, dst: Obj, mor) -> bool:
+    """Hom(W, src) -> Hom(W, dst) surjective for every core W: the D of mor
+    is core-monic in the D-heart."""
+    n = h.ctx.presentation.n
+    return h.dual().core_monic(dst.dual(n), src.dual(n),
+                               h.ctx.dual_morphism(src, dst, mor))

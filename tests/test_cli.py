@@ -114,6 +114,19 @@ def test_pairs_missing_names_are_rejected(ctx):
         ff.parse_pairs(data, ctx)
 
 
+@pytest.mark.parametrize("entry", [
+    ["[9,9]"], ["[1,5]"], [5], [[1, 1]], ["T"], "oplus([9,9])", "oplus([3,1])"],
+    ids=["not-in-a6", "inadmissible", "int", "list", "unparsable",
+         "expr-not-in-a6", "expr-bad-interval"])
+def test_bad_pairs_entries_exit_2(entry, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    ff.write_json(bad, {"schema": ff.PAIRS_SCHEMA,
+                        "subcategories": {"S": entry, "T": [], "U": [], "V": []}})
+    assert main(["check-twin", "--category", CATEGORY, "--pairs", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: subcategory 'S', entry ")
+
+
 # ---- verification commands ----------------------------------------------------
 
 def test_check_twin_on_fixture(tmp_path, capsys):

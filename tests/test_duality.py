@@ -23,6 +23,7 @@ from cotorsionlab.heartcat import (_non_integral_certificate, check_abelian,
                                    is_w_epic)
 from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
 from cotorsionlab.serialcat import IndecId, Obj, generate
+from oracles import core_epic
 
 
 def census_context():
@@ -107,7 +108,7 @@ def test_mono_triangles_are_dual_epi_triangles(ctx, ex_nonintegral):
         assert t.ses.first is ctx.realize(t.first)
         assert t.ses.third is ctx.realize(t.third)
         assert is_w_epic(ctx, t.ses.p, h.tp.w)
-        assert h.core_epic(t.middle, t.third, t.ses.p)
+        assert core_epic(h, t.middle, t.third, t.ses.p)
 
 
 @pytest.mark.parametrize("name", ["ex-nonintegral", "ex-abelian", "ex-nonabelian"])

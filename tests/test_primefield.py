@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotorsionlab import primefield as pf
+from oracles import complement_projector_by_inverse
 
 
 def gaussian_binomial(n, k, q):
@@ -71,6 +72,33 @@ def test_complement_projector_kills_exactly_the_subspace():
     assert not np.any((q @ basis) % 2)
     assert np.array_equal((q @ sect) % 2, np.eye(q.shape[0], dtype=np.int64))
     assert q.shape == (1, 3)
+
+
+@st.composite
+def subspace_bases(draw):
+    """(p, basis) at p in {2, 3, 5, 7}; half the bases with a column that
+    repeats a combination of two others, so rank-deficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(matrices(p=p, max_dim=6))
+    if m.shape[1] and draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        m = np.hstack([m, (c * m[:, :1] + m[:, -1:]) % p])
+    return p, m
+
+
+@settings(max_examples=300)
+@given(subspace_bases())
+@example((2, pf.zeros(0, 0)))
+@example((3, pf.zeros(0, 4)))
+@example((5, pf.zeros(4, 0)))
+@example((7, pf.zeros(3, 2)))
+@example((3, np.array([[1, 2, 0], [2, 1, 0], [0, 0, 0]], dtype=np.int64)))
+def test_complement_projector_matches_the_inverse_construction(case):
+    p, basis = case
+    got = pf.complement_projector(basis, basis.shape[0], p)
+    want = complement_projector_by_inverse(basis, basis.shape[0], p)
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
 
 
 @pytest.mark.parametrize("dim,p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])

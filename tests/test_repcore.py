@@ -13,7 +13,7 @@ from cotorsionlab.repcore import (EnumerationRefusedError, FieldChar,
 from cotorsionlab.serialcat import IndecId, Obj, generate
 
 from oracles import (block_morphism_by_sum, count_submodules_enumerated,
-                     hom_dim_enumerated)
+                     direct_sum_embeddings, hom_dim_enumerated)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_image_factorization_builds_a_valid_ses(ctx):
 
 def test_direct_sum_embeddings_are_orthogonal(ctx):
     mods = [iv(ctx, 3, 4), iv(ctx, 4, 4), iv(ctx, 3, 6)]
-    total, incls, projs = rc.direct_sum(mods, ctx.presentation, ctx.field)
+    total, incls, projs = direct_sum_embeddings(mods, ctx.presentation, ctx.field)
     assert total.total_dim == sum(m.total_dim for m in mods)
     for i in range(3):
         for j in range(3):
