@@ -371,6 +371,8 @@ def ses_from_payload(pres, fieldc, payload: dict) -> rc.SES:
 
 
 def _obj_from_str(text: str) -> Obj:
+    if not isinstance(text, str):
+        raise ValueError(f"an object must be a string, got {text!r}")
     text = text.strip()
     if text == "0":
         return Obj(())
@@ -436,6 +438,8 @@ def _ids_from_strings(strings) -> frozenset[IndecId]:
 
 
 def _validate_heart_witnesses(ctx, cert_ctx, witnesses: dict, ids) -> None:
+    if not isinstance(witnesses, dict):
+        raise TypeError("heart_witnesses is not an object")
     s_ids = _ids_from_strings(cert_ctx["S"])
     v_ids = _ids_from_strings(cert_ctx["V"])
     w_ids = _ids_from_strings(cert_ctx["W"])
@@ -536,29 +540,24 @@ def replay_certificate(report: dict) -> list[str]:
         cond = cert.get("condition")
         if cond == 1:
             return _replay_condition1(ctx, report, cert, log)
-        if cond == 2:
-            tp = cert["epi_triangle"]["conflation"]
+        if cond in (2, 3):
+            # (2): the epi-triangle's third term leaves S+W; (3), its dual:
+            # the mono-triangle's first term leaves V+W
+            key, core_test, failure, term, cls = {
+                2: ("epi_triangle", lambda ses: is_w_monic(ctx, ses.i, w_sub),
+                    "epi-triangle first map is not core-monic", 2, "S"),
+                3: ("mono_triangle", lambda ses: is_w_epic(ctx, ses.p, w_sub),
+                    "mono-triangle deflation is not core-epic", 0, "V")}[cond]
+            tp = cert[key]["conflation"]
             ses = ses_from_payload(pres, fieldc, tp)
-            f, m, t = _check_ses_ids(ctx, ses, tp)
-            if not is_w_monic(ctx, ses.i, w_sub):
-                raise ReplayFailure("epi-triangle first map is not core-monic")
+            checked = _check_ses_ids(ctx, ses, tp)[term]
+            if not core_test(ses):
+                raise ReplayFailure(failure)
             bad = IndecId.parse(cert["offending_summand"])
-            s_ids = _ids_from_strings(report["subcategories"]["S"])
-            if bad not in set(t.ids) or bad in (s_ids | w_ids):
-                raise ReplayFailure("offending summand is inside S+W after all")
-            log.append(f"condition (2) counterexample validated: {t}")
-            return log
-        if cond == 3:
-            tp = cert["mono_triangle"]["conflation"]
-            ses = ses_from_payload(pres, fieldc, tp)
-            f, m, t = _check_ses_ids(ctx, ses, tp)
-            if not is_w_epic(ctx, ses.p, w_sub):
-                raise ReplayFailure("mono-triangle deflation is not core-epic")
-            bad = IndecId.parse(cert["offending_summand"])
-            v_ids = _ids_from_strings(report["subcategories"]["V"])
-            if bad not in set(f.ids) or bad in (v_ids | w_ids):
-                raise ReplayFailure("offending summand is inside V+W after all")
-            log.append(f"condition (3) counterexample validated: {f}")
+            allowed = _ids_from_strings(report["subcategories"][cls])
+            if bad not in set(checked.ids) or bad in (allowed | w_ids):
+                raise ReplayFailure(f"offending summand is inside {cls}+W after all")
+            log.append(f"condition ({cond}) counterexample validated: {checked}")
             return log
         raise ReplayFailure(f"unknown non-abelian condition {cond!r}")
 

@@ -28,8 +28,8 @@ from . import repcore as rc
 from .fileformats import dual_certificate
 from .pairs import HeartClasses, TwinPair
 from .serialcat import CategoryCtx, Obj
-from .subcat import (SearchBounds, Subcategory, Verdict, ses_payload,
-                     subcat_in_star)
+from .subcat import (SearchBounds, Subcategory, Verdict, _first_split,
+                     ses_payload, subcat_in_star)
 
 
 class MethodDisagreement(AssertionError):
@@ -401,34 +401,6 @@ class HeartTriangle:
         return {"kind": self.kind, "conflation": ses_payload(ctx, self.ses)}
 
 
-def _bounded_multisets(ids, bounds: SearchBounds, ctx: CategoryCtx,
-                       max_summands: int | None = None,
-                       dim_cap: int | None = None):
-    """Multisets over `ids` with per-id multiplicity <= mult, at most
-    max_summands summands, and total dimension <= dim_cap, ascending by
-    (dim, lex); includes the empty one."""
-    ids = sorted(ids)
-    cap = bounds.dim_cap if dim_cap is None else dim_cap
-    out = [Obj(())]
-
-    def rec(idx, current):
-        if max_summands is not None and len(current) >= max_summands:
-            return
-        for k in range(idx, len(ids)):
-            mult = sum(1 for x in current if x == ids[k])
-            if mult >= bounds.mult:
-                continue
-            cand = current + [ids[k]]
-            if sum(i.dim for i in cand) > cap:
-                continue
-            out.append(Obj(tuple(cand)))
-            rec(k, cand)
-
-    rec(0, [])
-    uniq = {o.ids: o for o in out}
-    return sorted(uniq.values(), key=lambda o: (o.total_dim, o.ids))
-
-
 def _reduced_classes(support: list[tuple[int, int]], rows: int, cols: int, p: int):
     """Class matrices over the support cells with no zero row or column,
     with each row's leading nonzero entry normalized to 1.
@@ -487,10 +459,8 @@ def _epi_blocks(h: HeartContext, bounds: SearchBounds, max_summands: int = 2,
               if any(ctx.ext_dim(u, x) == 1 for u in h.tp.u.ids)]
     u_pool = [u for u in sorted(h.tp.u.ids)
               if any(ctx.ext_dim(u, x) == 1 for x in h.heart_ids)]
-    a_cands = [o for o in _bounded_multisets(a_pool, bounds, ctx, max_summands)
-               if not o.is_zero]
-    u_cands = [o for o in _bounded_multisets(u_pool, bounds, ctx, max_summands)
-               if not o.is_zero]
+    a_cands = Obj.multisets(a_pool, bounds.mult, bounds.dim_cap, max_summands)[1:]
+    u_cands = Obj.multisets(u_pool, bounds.mult, bounds.dim_cap, max_summands)[1:]
     for u0 in u_cands:
         yield u0, _epi_triangles_onto(h, u0, a_cands, class_cells_cap)
 
@@ -629,20 +599,6 @@ def _t_inside_v_plus_w(h: HeartContext) -> bool:
     return h.tp.t.ids <= (h.tp.v.ids | h.w_ids)
 
 
-def _star_member_cone(ctx: CategoryCtx, z: Obj, x: Subcategory,
-                      cone: WitnessCone, dim_cap: int) -> rc.SES | None:
-    """First conflation X -> Z -> Y with X in add(x) and Y in the cone."""
-    zmod = ctx.realize(z)
-    for sub, incl in rc.submodules(zmod, dim_cap=dim_cap):
-        sub_obj = ctx.identify(sub)
-        if not x.contains_obj(sub_obj):
-            continue
-        quot, proj = rc.cokernel(incl)
-        if cone.contains(ctx.identify(quot)):
-            return rc.SES(incl, proj)
-    return None
-
-
 def _certificate_z_candidates(h: HeartContext, member_ids, outside,
                               bounds: SearchBounds, max_summands: int = 4,
                               dim_cap: int = 12):
@@ -650,10 +606,9 @@ def _certificate_z_candidates(h: HeartContext, member_ids, outside,
     summand outside `outside`, ascending by (dim, lex).  The summand and
     dimension caps keep the complete submodule scan of each candidate
     affordable; coverage is reported as bounded."""
-    return [o for o in _bounded_multisets(
-                member_ids, bounds, h.ctx, max_summands,
-                min(bounds.dim_cap, dim_cap))
-            if not o.is_zero and not o.summands_in(outside)]
+    return [o for o in Obj.multisets(member_ids, bounds.mult,
+                                     min(bounds.dim_cap, dim_cap), max_summands)
+            if not o.summands_in(outside)]
 
 
 def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
@@ -712,7 +667,7 @@ def _non_integral_certificate(h: HeartContext, bounds: SearchBounds) -> dict | N
     epi_cone = _epi_cone(h, bounds)
     minus_ids = sorted(h.hearts.main.minus_ids())
     for z in _certificate_z_candidates(h, minus_ids, h.tp.u.ids, bounds):
-        ses = _star_member_cone(ctx, z, h.tp.t, epi_cone, bounds.dim_cap)
+        _, ses = _first_split(ctx, z, h.tp.t, epi_cone.contains, bounds.dim_cap)
         if ses is None:
             continue
         used = epi_cone.decompose(ctx.identify(ses.third)) or []
@@ -864,8 +819,7 @@ def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
     bounds = bounds or h.bounds
     ctx = h.ctx
     p = ctx.field.p
-    objs = [o for o in _bounded_multisets(h.surviving, bounds, ctx)
-            if not o.is_zero]
+    objs = Obj.multisets(h.surviving, bounds.mult, bounds.dim_cap)[1:]
     squares = 0
     for dobj in objs:
         for cobj in objs:

@@ -49,6 +49,8 @@ class IndecId:
 
     @staticmethod
     def parse(text: str) -> "IndecId":
+        if not isinstance(text, str):
+            raise ValueError(f"an interval must be a string, got {text!r}")
         s = text.strip()
         m = re.fullmatch(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]", s)
         if m:
@@ -80,6 +82,28 @@ class Obj:
         for (a, b), c in sorted(counts.items()):
             ids.extend([IndecId(a, b)] * c)
         return Obj(tuple(ids))
+
+    @staticmethod
+    def multisets(ids, mult: int, dim_cap: int,
+                  max_summands: int | None = None) -> list["Obj"]:
+        """Every multiset over `ids` with each id at most `mult` times, at
+        most `max_summands` summands and total dimension at most `dim_cap`,
+        ascending by (total_dim, ids): the empty one first, none at all
+        when dim_cap < 0."""
+        ids = sorted(ids)
+        found = [(0, ())] if dim_cap >= 0 else []
+
+        def extend(start, cur, dim):
+            if max_summands is not None and len(cur) >= max_summands:
+                return
+            for k in range(start, len(ids)):
+                x = ids[k]
+                if dim + x.dim <= dim_cap and cur.count(x) < mult:
+                    found.append((dim + x.dim, cur + (x,)))
+                    extend(k, cur + (x,), dim + x.dim)
+
+        extend(0, (), 0)
+        return [Obj(c) for _, c in sorted(found)]
 
     @property
     def is_zero(self) -> bool:

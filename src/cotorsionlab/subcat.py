@@ -15,7 +15,6 @@ cover the whole search space.  A failed search is therefore complete
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId, Obj
@@ -169,27 +168,32 @@ def ses_payload(ctx: CategoryCtx, ses: rc.SES) -> dict:
 # -- membership of a fixed object in X * Y ------------------------------
 
 
+def _first_split(ctx: CategoryCtx, z: Obj, x: Subcategory, y_holds,
+                 dim_cap: int) -> tuple[int, rc.SES | None]:
+    """The number of submodules of z scanned and the first conflation
+    X -> z -> Y found with X in add(x) and y_holds(Y), or None."""
+    checked = 0
+    for sub, incl in rc.submodules(ctx.realize(z), dim_cap=dim_cap):
+        checked += 1
+        if not x.contains_obj(ctx.identify(sub)):
+            continue
+        quot, proj = rc.cokernel(incl)
+        if y_holds(ctx.identify(quot)):
+            return checked, rc.SES(incl, proj)
+    return checked, None
+
+
 def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
                 dim_cap: int = 24) -> Verdict:
     """Exact decision of z in X*Y by complete submodule enumeration."""
-    zmod = ctx.realize(z)
-    checked = 0
-    for sub, incl in rc.submodules(zmod, dim_cap=dim_cap):
-        checked += 1
-        sub_obj = ctx.identify(sub)
-        if not x.contains_obj(sub_obj):
-            continue
-        quot, proj = rc.cokernel(incl)
-        quot_obj = ctx.identify(quot)
-        if y.contains_obj(quot_obj):
-            ses = rc.SES(incl, proj)
-            return Verdict(
-                status="holds",
-                route="submodule search",
-                witnesses=({"object": str(z),
-                            "conflation": ses_payload(ctx, ses)},),
-                exhaustive=True,
-            )
+    checked, ses = _first_split(ctx, z, x, y.contains_obj, dim_cap)
+    if ses is not None:
+        return Verdict(
+            status="holds",
+            route="submodule search",
+            witnesses=({"object": str(z), "conflation": ses_payload(ctx, ses)},),
+            exhaustive=True,
+        )
     return Verdict(
         status="fails",
         route="submodule search",
@@ -225,64 +229,47 @@ def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
 # -- approximation searches ---------------------------------------------
 
 
-def _ext_class_candidates(ctx: CategoryCtx, fixed: Obj, pool: list[IndecId],
-                          bounds: SearchBounds, fixed_is_third: bool):
-    """Candidate partner multisets and all-ones-normalizable classes.
+def _approx_search(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
+                   pool: list[IndecId], middle: Subcategory,
+                   bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
+    """The verdict and witness of the first conflation with b at one end,
+    a partner in add(pool) at the other and its middle in add(middle).
 
-    Yields (partner_obj, coeffs) in ascending (total_dim, lex) order,
-    starting with the empty partner (split classes).  Each pool id is
-    used at most once: higher multiplicities reduce to this case by
-    column operations since each Ext(x, y) here is at most 1-dimensional.
+    Partners are the subsets of the pool in ascending (dim, lex) order,
+    the empty one (the split conflation) first, each realized with
+    all-ones class coefficients.  note() words the unknown verdict; it is
+    called only then, since displaying two classes costs more than most
+    searches.
     """
-    usable = sorted(pool)
-    subsets = [()]
-    for k in range(1, len(usable) + 1):
-        subsets.extend(combinations(usable, k))
-    subsets.sort(key=lambda s: (sum(i.dim for i in s), s))
-    for subset in subsets:
-        partner = Obj(tuple(subset))
-        if partner.total_dim + fixed.total_dim > bounds.dim_cap:
+    fixed = Obj.of(b)
+    for partner in Obj.multisets(pool, 1, bounds.dim_cap - fixed.total_dim):
+        if partner.is_zero and b not in middle:
             continue
-        if fixed_is_third:
-            coeffs = {(0, j): 1 for j in range(len(subset))}
+        cells = range(len(partner.ids))
+        if b_is_third:
+            ses = ctx.ses_for_class(fixed, partner, {(0, j): 1 for j in cells})
         else:
-            coeffs = {(i, 0): 1 for i in range(len(subset))}
-        yield partner, coeffs
+            ses = ctx.ses_for_class(partner, fixed, {(i, 0): 1 for i in cells})
+        if partner.is_zero:
+            return Verdict(status="holds", route="split", bounds=bounds,
+                           exhaustive=True), ses
+        if middle.contains_obj(ctx.identify(ses.middle)):
+            return Verdict(status="holds", route="extension-class search",
+                           bounds=bounds, exhaustive=True), ses
+    complete = sum(i.dim for i in pool) + fixed.total_dim <= bounds.dim_cap
+    return Verdict(status="unknown", route="extension-class search",
+                   bounds=bounds, exhaustive=complete, notes=(note(),)), None
 
 
 def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,
                      v: Subcategory, bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """Search a conflation V -> U0 -> b with U0 in add(u), V in add(v).
-
-    Enumerates kernel candidates over the ext support of b in v and
-    realizes each class; smallest witnesses come first.  Returns the
-    verdict together with the witness conflation when one is found.
-    """
+    """Search a conflation V -> U0 -> b with U0 in add(u), V in add(v),
+    smallest witness first."""
     ctx.check_id(b)
     pool = [y for y in sorted(v.ids) if ctx.ext_dim(b, y) == 1]
-    truncated = False
-    third = Obj.of(b)
-    for partner, coeffs in _ext_class_candidates(ctx, third, pool, bounds, True):
-        if len(partner.ids) == 0:
-            # split candidate: 0 -> b -> b
-            if b in u:
-                ses = ctx.ses_for_class(third, partner, {})
-                return Verdict(status="holds", route="split",
-                               witnesses=(ses_payload(ctx, ses),),
-                               bounds=bounds, exhaustive=True), ses
-            continue
-        ses = ctx.ses_for_class(third, partner, coeffs)
-        mid = ctx.identify(ses.middle)
-        if u.contains_obj(mid):
-            return Verdict(status="holds", route="extension-class search",
-                           witnesses=(ses_payload(ctx, ses),),
-                           bounds=bounds, exhaustive=True), ses
-    if sum(i.dim for i in pool) + third.total_dim > bounds.dim_cap:
-        truncated = True
-    return Verdict(status="unknown", route="extension-class search",
-                   bounds=bounds, exhaustive=not truncated,
-                   notes=(f"no covering conflation for {b} with cover in "
-                          f"add{u.display()} and kernel in add{v.display()}",)), None
+    return _approx_search(ctx, b, True, pool, u, bounds, lambda: (
+        f"no covering conflation for {b} with cover in add{u.display()} "
+        f"and kernel in add{v.display()}"))
 
 
 def find_right_approx(ctx: CategoryCtx, b: IndecId, t: Subcategory,
@@ -290,25 +277,6 @@ def find_right_approx(ctx: CategoryCtx, b: IndecId, t: Subcategory,
     """Search a conflation b -> T0 -> S with T0 in add(t), S in add(s)."""
     ctx.check_id(b)
     pool = [x for x in sorted(s.ids) if ctx.ext_dim(x, b) == 1]
-    truncated = False
-    first = Obj.of(b)
-    for partner, coeffs in _ext_class_candidates(ctx, first, pool, bounds, False):
-        if len(partner.ids) == 0:
-            if b in t:
-                ses = ctx.ses_for_class(partner, first, {})
-                return Verdict(status="holds", route="split",
-                               witnesses=(ses_payload(ctx, ses),),
-                               bounds=bounds, exhaustive=True), ses
-            continue
-        ses = ctx.ses_for_class(partner, first, coeffs)
-        mid = ctx.identify(ses.middle)
-        if t.contains_obj(mid):
-            return Verdict(status="holds", route="extension-class search",
-                           witnesses=(ses_payload(ctx, ses),),
-                           bounds=bounds, exhaustive=True), ses
-    if sum(i.dim for i in pool) + first.total_dim > bounds.dim_cap:
-        truncated = True
-    return Verdict(status="unknown", route="extension-class search",
-                   bounds=bounds, exhaustive=not truncated,
-                   notes=(f"no coresolving conflation for {b} with middle in "
-                          f"add{t.display()} and cokernel in add{s.display()}",)), None
+    return _approx_search(ctx, b, False, pool, t, bounds, lambda: (
+        f"no coresolving conflation for {b} with middle in add{t.display()} "
+        f"and cokernel in add{s.display()}"))

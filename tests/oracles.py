@@ -120,6 +120,19 @@ def _multisets_with_dims(ctx: CategoryCtx, want):
     yield from rec(0, list(want), [])
 
 
+def multisets_by_product(ids, mult, dim_cap, max_summands=None):
+    """Obj.multisets by brute force: every multiplicity vector in
+    0..mult, filtered by the caps, sorted by (total_dim, ids)."""
+    ids = sorted(ids)
+    out = []
+    for counts in product(range(mult + 1), repeat=len(ids)):
+        o = Obj(tuple(x for x, c in zip(ids, counts) for _ in range(c)))
+        if o.total_dim <= dim_cap and (max_summands is None
+                                       or len(o.ids) <= max_summands):
+            out.append(o)
+    return sorted(out, key=lambda o: (o.total_dim, o.ids))
+
+
 def direct_sum_embeddings(modules, presentation, fieldc):
     """repcore.direct_sum with its canonical inclusions and projections,
     each built as an identity block at the summand's offsets."""

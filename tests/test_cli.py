@@ -158,6 +158,48 @@ def test_check_twin_witness_matrices_are_pinned(tmp_path, capsys):
     assert digest == CHECK_TWIN_WITNESS_SHA256
 
 
+A6_DECISIONS = [(fixture, command)
+                for fixture in ("ex-nonintegral", "ex-abelian", "ex-nonabelian")
+                for command in ("check-twin", "heart", "check-integral",
+                                "check-abelian")] + [("ex-abelian", "probe")]
+
+# sha256 over the 13 A6 decisions at F_2, F_3 and F_5 (exit code, stdout
+# without its timing line, report JSON without timing_seconds) and the
+# replay of each failing report, recorded before the approximation,
+# multiset and submodule searches were merged
+CLI_DECISIONS_SHA256 = (
+    "6347b5d3821160a8ac25ca017c196fe1a94d715cf79a4c3e7f6cdc5e2fc8b69c")
+
+
+def test_cli_decisions_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("COTORSION_LAB_SEED", raising=False)
+    digest = hashlib.sha256()
+    replays = 0
+    report = tmp_path / "report.json"
+    for p in (2, 3, 5):
+        category = tmp_path / f"a6-f{p}.category.json"
+        ff.write_json(category, {**ff.read_json(CATEGORY), "field_char": p})
+        for fixture, command in A6_DECISIONS:
+            argv = [command, "--category", str(category),
+                    "--pairs", pairs_file(fixture), "--report", str(report)]
+            if command == "probe":
+                argv += ["--bound-mult", "1"]
+            code = main(argv)
+            out = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("timing: ")]
+            data = ff.read_json(report)
+            del data["timing_seconds"]
+            digest.update(ff.dumps_canonical(
+                [p, fixture, command, code, out, data]).encode())
+            if code == 1:
+                replays += 1
+                code = main(["replay", str(report)])
+                digest.update(ff.dumps_canonical(
+                    [code, capsys.readouterr().out]).encode())
+    assert replays == 9
+    assert digest.hexdigest() == CLI_DECISIONS_SHA256
+
+
 def test_check_twin_nonabelian_core_note(capsys):
     code = main(["check-twin", "--category", CATEGORY,
                  "--pairs", pairs_file("ex-nonabelian")])
@@ -371,11 +413,31 @@ def _without_i_comps():
     return data
 
 
+def _with_certificate(change):
+    """The stored non-integral report with change(certificate) replacing
+    its certificate."""
+    data = ff.read_json(FIXDIR / "ex-nonintegral.integral-report.json")
+    data["verdict"]["certificate"] = change(data["verdict"]["certificate"])
+    return data
+
+
 @pytest.mark.parametrize("broken,reason", [
     (_without_i_comps, "conflation payload invalid"),
     (lambda: {"verdict": [1]}, "malformed certificate"),
-    (lambda: {"verdict": {"certificate": [1]}}, "malformed certificate")],
-    ids=["missing-i-comps", "verdict-list", "certificate-list"])
+    (lambda: {"verdict": {"certificate": [1]}}, "malformed certificate"),
+    (lambda: _with_certificate(lambda c: {**c, "z": 5}), "malformed certificate"),
+    (lambda: _with_certificate(lambda c: {**c, "z_outside_u": 3}),
+     "malformed certificate"),
+    (lambda: _with_certificate(lambda c: {
+        **c, "conflation": {**c["conflation"], "first": 7}}),
+     "malformed certificate"),
+    (lambda: _with_certificate(lambda c: {**c, "heart_witnesses": []}),
+     "malformed certificate"),
+    (lambda: _with_certificate(lambda c: {**ff.dual_certificate(c), "z": 5}),
+     "malformed certificate")],
+    ids=["missing-i-comps", "verdict-list", "certificate-list", "z-int",
+         "offender-int", "conflation-term-int", "heart-witnesses-list",
+         "dual-z-int"])
 def test_replay_rejects_structurally_broken_reports(broken, reason, tmp_path,
                                                     capsys):
     bad = tmp_path / "broken.json"

@@ -289,6 +289,21 @@ def test_heart_kernels_and_cokernels_are_pinned():
     assert heart_kernel_cokernel_digest() == HEART_KERNEL_COKERNEL_SHA256
 
 
+# sha256 of the integrality and abelianness verdict payloads of the 237
+# census twins, recorded before the approximation, multiset and submodule
+# searches were merged
+CENSUS_VERDICTS_SHA256 = (
+    "bb3918541e3deb04956ecb10a936e1bddfa66aa08892575ef25794207af8130b")
+
+
+def test_census_verdicts_are_pinned(census_a5):
+    digest = hashlib.sha256()
+    for h in census_a5:
+        record = [check_integral(h).payload(), check_abelian(h).payload()]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == CENSUS_VERDICTS_SHA256
+
+
 def test_epi_test_and_cokernel_share_one_pushout(ex_nonintegral, monkeypatch):
     h = ex_nonintegral.hctx
     a, b = Obj.of(IndecId(3, 4)), Obj.of(IndecId(3, 5), IndecId(4, 4))

@@ -3,12 +3,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotorsionlab import repcore as rc
 from cotorsionlab.repcore import FieldChar, QuiverPresentation
 from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute, generate
 
-from oracles import ext_nonzero_by_ses_search, hom_dim_enumerated
+from oracles import (ext_nonzero_by_ses_search, hom_dim_enumerated,
+                     multisets_by_product)
 
 # the 18 indecomposables of the bound A6 algebra, by interval
 PAPER_INDECS = sorted(
@@ -344,3 +347,11 @@ def test_bad_input_never_reaches_the_cache(ctx):
     for call in (ctx.identify, ctx.canonical_iso_from):
         with pytest.raises(rc.ContextMismatchError):
             call(other)
+
+
+@settings(max_examples=200)
+@given(st.frozensets(st.sampled_from(PAPER_INDECS), max_size=6),
+       st.integers(1, 3), st.none() | st.integers(1, 4), st.integers(-1, 12))
+def test_multisets_match_the_product_enumeration(ids, mult, max_summands, dim_cap):
+    assert Obj.multisets(ids, mult, dim_cap, max_summands) == \
+        multisets_by_product(ids, mult, dim_cap, max_summands)

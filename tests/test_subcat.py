@@ -1,10 +1,15 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotorsionlab.fixtures import fixture_subcategories
+from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
+from cotorsionlab.pairs import verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import (Subcategory, Verdict, find_left_approx,
+from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
+                                 find_left_approx,
                                  find_right_approx, inter, left_perp, oplus,
                                  right_perp, star_member, subcat_in_star)
 
@@ -150,3 +155,60 @@ def test_approx_witnesses_are_smallest_first(ctx, bounds):
     # kernel [1,2] gives the smallest cover [1,4] of [3,4]
     assert v.holds
     assert ctx.identify(ses.middle) == Obj.of(IndecId(1, 4))
+
+
+def test_left_approx_with_b_above_the_dim_cap_is_unknown(ctx):
+    # b alone exceeds the cap, so not even the split conflation is tried
+    every = Subcategory.everything(ctx)
+    v, ses = find_left_approx(ctx, IndecId(1, 4), every, every,
+                              SearchBounds(dim_cap=3))
+    assert v.unknown and ses is None
+    assert not v.exhaustive
+
+
+# sha256 of (status, route, exhaustive, notes, witness matrices) of every
+# approximation search below, recorded before the left and right searches
+# were merged into one
+APPROX_ANSWERS_SHA256 = (
+    "37dbae099e81776870d09b1317e8403c78f32d748dead34ab687e9d83db96c23")
+
+
+def _ses_matrices(ses):
+    return [[list(m.dims), [a.tolist() for a in m.maps]]
+            for m in (ses.first, ses.middle, ses.third)] + [
+        [c.tolist() for c in ses.i.comps], [c.tolist() for c in ses.p.comps]]
+
+
+def approx_answers_digest(ctx, twins) -> str:
+    """Every indecomposable against both approximations of each cotorsion
+    pair of the twins and against their two heart membership searches."""
+    searches = set()
+    for tp in twins:
+        for x, y in ((tp.s, tp.t), (tp.u, tp.v)):
+            searches.add((find_left_approx, x.ids, y.ids))
+            searches.add((find_right_approx, y.ids, x.ids))
+        searches.add((find_left_approx, tp.w.ids, tp.v.ids))
+        searches.add((find_right_approx, tp.w.ids, tp.s.ids))
+    digest = hashlib.sha256()
+    for search, mid, end in sorted(searches, key=lambda s: (
+            s[0].__name__, sorted(s[1]), sorted(s[2]))):
+        for b in ctx.indecs:
+            v, ses = search(ctx, b, Subcategory(mid), Subcategory(end),
+                            SearchBounds())
+            record = [v.status, v.route, v.exhaustive, list(v.notes),
+                      None if ses is None else _ses_matrices(ses)]
+            digest.update(json.dumps(record).encode())
+    return digest.hexdigest()
+
+
+def test_approximation_answers_are_pinned(census_a5):
+    digests = []
+    for p in (2, 3):
+        ctx = paper_context(p)
+        digests.append(approx_answers_digest(ctx, [
+            verified_twin(ctx, fixture_subcategories(ctx, name), SearchBounds())
+            for name in FIXTURES]))
+    digests.append(approx_answers_digest(census_a5[0].ctx,
+                                         [h.tp for h in census_a5]))
+    digest = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert digest == APPROX_ANSWERS_SHA256
