@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId
-from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
-                     find_right_approx, inter)
+from .subcat import (SearchBounds, Subcategory, Verdict, approx_table,
+                     find_left_approx, find_right_approx, inter)
 
 
 class _DualTable(Mapping):
@@ -68,9 +68,9 @@ def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
     right: dict[IndecId, rc.SES] = {}
     unwitnessed = []
     truncated = False
-    for b in ctx.indecs:
-        lv, lses = find_left_approx(ctx, b, u, v, bounds)
-        rv, rses = find_right_approx(ctx, b, v, u, bounds)
+    lvs, lwit = approx_table(ctx, True, u, v, bounds)
+    rvs, rwit = approx_table(ctx, False, v, u, bounds)
+    for b, lv, lses, rv, rses in zip(ctx.indecs, lvs, lwit, rvs, rwit):
         if lv.holds:
             left[b] = lses
         if rv.holds:
@@ -213,18 +213,15 @@ class HeartTable:
 
 
 def _heart_table(ctx: CategoryCtx, tp: TwinPair, bounds: SearchBounds) -> HeartTable:
-    bplus, bminus = {}, {}
-    wplus, wminus = {}, {}
-    for x in ctx.indecs:
-        pv, pses = membership_bplus(ctx, x, tp, bounds)
-        mv, mses = membership_bminus(ctx, x, tp, bounds)
-        bplus[x] = pv
-        bminus[x] = mv
-        if pses is not None:
-            wplus[x] = pses
-        if mses is not None:
-            wminus[x] = mses
-    return HeartTable(tp.w, bplus, bminus, wplus, wminus)
+    """The membership_bplus and membership_bminus tables, read from the
+    context's approximation tables; their unknown verdicts carry no notes."""
+    pvs, pwit = approx_table(ctx, True, tp.w, tp.v, bounds)
+    mvs, mwit = approx_table(ctx, False, tp.w, tp.s, bounds)
+
+    def present(witnesses):
+        return {x: ses for x, ses in zip(ctx.indecs, witnesses) if ses is not None}
+    return HeartTable(tp.w, dict(zip(ctx.indecs, pvs)), dict(zip(ctx.indecs, mvs)),
+                      present(pwit), present(mwit))
 
 
 @dataclass

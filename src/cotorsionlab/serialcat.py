@@ -152,19 +152,15 @@ class CategoryCtx:
             if presentation.admissible(a, b)
         )
         self._index = {x: i for i, x in enumerate(self.indecs)}
+        self._bit = {x: 1 << i for i, x in enumerate(self.indecs)}
         self.projectives: tuple[IndecId, ...] = tuple(sorted(
             IndecId(presentation.proj_bottom(b), b) for b in range(1, presentation.n + 1)))
         self.injectives: tuple[IndecId, ...] = tuple(sorted(
             IndecId(a, presentation.inj_top(a)) for a in range(1, presentation.n + 1)))
-        k = len(self.indecs)
-        self._hom = np.zeros((k, k), dtype=np.int64)
-        self._ext = np.zeros((k, k), dtype=np.int64)
-        for i, x in enumerate(self.indecs):
-            for j, y in enumerate(self.indecs):
-                self._hom[i, j] = 1 if (x.a <= y.a <= x.b <= y.b) else 0
-        for i, x in enumerate(self.indecs):
-            for j, y in enumerate(self.indecs):
-                self._ext[i, j] = self._ext_by_syzygy(x, y)
+        self._hom = {x: {y: 1 if (x.a <= y.a <= x.b <= y.b) else 0
+                         for y in self.indecs} for x in self.indecs}
+        self._ext = {x: {y: self._ext_by_syzygy(x, y) for y in self.indecs}
+                     for x in self.indecs}
         self._cache: dict[tuple, object] = {}
         self._op: CategoryCtx | None = None
         self._op_of: weakref.ref | None = None
@@ -195,8 +191,20 @@ class CategoryCtx:
 
     def check_id(self, x: IndecId) -> IndecId:
         if x not in self._index:
-            raise ValueError(f"{x} is not an indecomposable of this algebra")
+            raise ValueError(self._unknown(x))
         return x
+
+    def index(self, x: IndecId) -> int:
+        """The position of x in `indecs`."""
+        return self._index[self.check_id(x)]
+
+    def mask(self, ids) -> int:
+        """The id set as a bitmask over the positions in `indecs`: a compact
+        cache key."""
+        try:
+            return sum(map(self._bit.__getitem__, ids))
+        except KeyError as e:
+            raise ValueError(self._unknown(e.args[0])) from None
 
     def projective_cover_id(self, x: IndecId) -> IndecId:
         return IndecId(self.presentation.proj_bottom(x.b), x.b)
@@ -211,10 +219,20 @@ class CategoryCtx:
     # -- hom / ext ------------------------------------------------------
 
     def hom_dim(self, x: IndecId, y: IndecId) -> int:
-        return int(self._hom[self._index[self.check_id(x)], self._index[self.check_id(y)]])
+        try:
+            return self._hom[x][y]
+        except KeyError:
+            raise ValueError(self._unknown(x, y)) from None
 
     def ext_dim(self, x: IndecId, y: IndecId) -> int:
-        return int(self._ext[self._index[self.check_id(x)], self._index[self.check_id(y)]])
+        try:
+            return self._ext[x][y]
+        except KeyError:
+            raise ValueError(self._unknown(x, y)) from None
+
+    def _unknown(self, *ids: IndecId) -> str:
+        bad = next(x for x in ids if x not in self._index)
+        return f"{bad} is not an indecomposable of this algebra"
 
     def _ext_by_syzygy(self, x: IndecId, y: IndecId) -> int:
         """dim coker(Hom(P(b), y) -> Hom(syzygy(x), y)) for x = [a, b]."""

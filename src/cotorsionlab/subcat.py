@@ -10,11 +10,14 @@ ext-supporting indecomposable at most once plus a redundant split
 summand, so subsets of the ext support with all-ones class coefficients
 cover the whole search space.  A failed search is therefore complete
 (flagged `exhaustive`) unless the dimension cap truncated it.
+
+Neither kind of search depends on the twin that asks for it, so each
+runs once per category context and key, in `CategoryCtx.cached`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId, Obj
@@ -99,7 +102,7 @@ def left_perp(ctx: CategoryCtx, x: Subcategory, name: str = "") -> Subcategory:
     return Subcategory(ids, name or f"lperp({x.name})", "left_perp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Three-valued result; Fails always carries a replayable certificate.
 
@@ -185,8 +188,12 @@ def _first_split(ctx: CategoryCtx, z: Obj, x: Subcategory, y_holds,
 
 def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
                 dim_cap: int = 24) -> Verdict:
-    """Exact decision of z in X*Y by complete submodule enumeration."""
-    checked, ses = _first_split(ctx, z, x, y.contains_obj, dim_cap)
+    """Exact decision of z in X*Y by complete submodule enumeration.  The
+    scan runs once per context and (z, X, Y, dim_cap); each call builds a
+    fresh verdict, so no caller holds a shared payload."""
+    checked, ses = ctx.cached(
+        ("star", z.ids, ctx.mask(x.ids), ctx.mask(y.ids), dim_cap),
+        lambda: _star_scan(ctx, z, x, y, dim_cap))
     if ses is not None:
         return Verdict(
             status="holds",
@@ -201,6 +208,16 @@ def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
                      "x": x.display(), "y": y.display()},
         exhaustive=True,
     )
+
+
+def _star_scan(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
+               dim_cap: int) -> tuple[int, rc.SES | None]:
+    checked, ses = _first_split(ctx, z, x, y.contains_obj, dim_cap)
+    if ses is not None:
+        # the scan order is fixed, so a split found at one position is the
+        # same conflation whichever X and Y found it: keep one copy
+        ses = ctx.cached(("star split", z.ids, checked), lambda: ses)
+    return checked, ses
 
 
 def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
@@ -230,44 +247,83 @@ def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
 
 
 def _approx_search(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
-                   pool: list[IndecId], middle: Subcategory,
-                   bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
-    """The verdict and witness of the first conflation with b at one end,
-    a partner in add(pool) at the other and its middle in add(middle).
+                   middle: Subcategory, partner: Subcategory,
+                   bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
+    """The verdict and witness of the first conflation with b at one end
+    (the third term if b_is_third, else the first), its middle in
+    add(middle) and a partner in add(partner) at the other end.
 
-    Partners are the subsets of the pool in ascending (dim, lex) order,
-    the empty one (the split conflation) first, each realized with
-    all-ones class coefficients.  note() words the unknown verdict; it is
-    called only then, since displaying two classes costs more than most
-    searches.
+    Partners are the subsets of the partner ids with nonzero Ext against
+    b, in ascending (dim, lex) order, the empty one (the split conflation)
+    first, each realized with all-ones class coefficients.  The verdict is
+    one of the context's shared ones and carries no notes.
     """
     fixed = Obj.of(b)
-    for partner in Obj.multisets(pool, 1, bounds.dim_cap - fixed.total_dim):
-        if partner.is_zero and b not in middle:
-            continue
-        cells = range(len(partner.ids))
+    budget = bounds.dim_cap - fixed.total_dim
+
+    def ses(other: Obj) -> rc.SES:
+        cells = range(len(other.ids))
         if b_is_third:
-            ses = ctx.ses_for_class(fixed, partner, {(0, j): 1 for j in cells})
-        else:
-            ses = ctx.ses_for_class(partner, fixed, {(i, 0): 1 for i in cells})
-        if partner.is_zero:
-            return Verdict(status="holds", route="split", bounds=bounds,
-                           exhaustive=True), ses
-        if middle.contains_obj(ctx.identify(ses.middle)):
-            return Verdict(status="holds", route="extension-class search",
-                           bounds=bounds, exhaustive=True), ses
-    complete = sum(i.dim for i in pool) + fixed.total_dim <= bounds.dim_cap
-    return Verdict(status="unknown", route="extension-class search",
-                   bounds=bounds, exhaustive=complete, notes=(note(),)), None
+            return ctx.ses_for_class(fixed, other, {(0, j): 1 for j in cells})
+        return ctx.ses_for_class(other, fixed, {(i, 0): 1 for i in cells})
+
+    if budget >= 0 and b in middle:
+        return _shared(ctx, "holds", "split", bounds, True), ses(Obj())
+    if b_is_third:
+        pool = [y for y in sorted(partner.ids) if ctx.ext_dim(b, y) == 1]
+    else:
+        pool = [y for y in sorted(partner.ids) if ctx.ext_dim(y, b) == 1]
+    for other in Obj.multisets(pool, 1, budget)[1:]:
+        found = ses(other)
+        if middle.contains_obj(ctx.identify(found.middle)):
+            return _shared(ctx, "holds", "extension-class search", bounds, True), found
+    complete = sum(i.dim for i in pool) <= budget
+    return _shared(ctx, "unknown", "extension-class search", bounds, complete), None
+
+
+def _shared(ctx: CategoryCtx, status: str, route: str, bounds: SearchBounds,
+            exhaustive: bool) -> Verdict:
+    """The one verdict without notes of its kind in the context."""
+    return ctx.cached(("verdict", status, route, bounds, exhaustive), lambda: Verdict(
+        status=status, route=route, bounds=bounds, exhaustive=exhaustive))
+
+
+def approx_table(ctx: CategoryCtx, b_is_third: bool, middle: Subcategory,
+                 partner: Subcategory, bounds: SearchBounds
+                 ) -> tuple[tuple[Verdict, ...], tuple[rc.SES | None, ...]]:
+    """The verdicts and the witnesses of `_approx_search` for every
+    indecomposable, in `ctx.indecs` order.
+
+    The searches depend on the two id sets and the bounds only, so the
+    table is built once per context and key, and every cotorsion pair,
+    twin and heart table of the context that asks for it shares it.
+    """
+    def build():
+        found = [_approx_search(ctx, b, b_is_third, middle, partner, bounds)
+                 for b in ctx.indecs]
+        return tuple(v for v, _ in found), tuple(ses for _, ses in found)
+
+    return ctx.cached(("approx", b_is_third, ctx.mask(middle.ids),
+                       ctx.mask(partner.ids), bounds), build)
+
+
+def _table_entry(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
+                 middle: Subcategory, partner: Subcategory,
+                 bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
+    """The table entry of b, an unknown verdict worded by note()."""
+    i = ctx.index(b)
+    verdicts, witnesses = approx_table(ctx, b_is_third, middle, partner, bounds)
+    verdict = verdicts[i]
+    if verdict.unknown:
+        verdict = replace(verdict, notes=(note(),))
+    return verdict, witnesses[i]
 
 
 def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,
                      v: Subcategory, bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
     """Search a conflation V -> U0 -> b with U0 in add(u), V in add(v),
     smallest witness first."""
-    ctx.check_id(b)
-    pool = [y for y in sorted(v.ids) if ctx.ext_dim(b, y) == 1]
-    return _approx_search(ctx, b, True, pool, u, bounds, lambda: (
+    return _table_entry(ctx, b, True, u, v, bounds, lambda: (
         f"no covering conflation for {b} with cover in add{u.display()} "
         f"and kernel in add{v.display()}"))
 
@@ -275,8 +331,6 @@ def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,
 def find_right_approx(ctx: CategoryCtx, b: IndecId, t: Subcategory,
                       s: Subcategory, bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
     """Search a conflation b -> T0 -> S with T0 in add(t), S in add(s)."""
-    ctx.check_id(b)
-    pool = [x for x in sorted(s.ids) if ctx.ext_dim(x, b) == 1]
-    return _approx_search(ctx, b, False, pool, t, bounds, lambda: (
+    return _table_entry(ctx, b, False, t, s, bounds, lambda: (
         f"no coresolving conflation for {b} with middle in add{t.display()} "
         f"and cokernel in add{s.display()}"))

@@ -59,13 +59,11 @@ def ex_nonabelian(setups):
     return setups["ex-nonabelian"]
 
 
-@pytest.fixture(scope="session")
-def census_a5():
-    """Heart contexts of the 237 twins of n=5, relations {1-3, 2-5}, at
-    F_2: every pair ((S,T),(U,V)) of complete cotorsion pairs
+def _fresh_census(bounds):
+    """A new context of n=5, relations {1-3, 2-5}, at F_2 and its 237
+    verified twins: every pair ((S,T),(U,V)) of complete cotorsion pairs
     (lperp(rperp X), rperp X) with S inside U."""
     ctx = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(2))
-    bounds = SearchBounds()
     found = set()
     for k in range(len(ctx.indecs) + 1):
         for xs in combinations(ctx.indecs, k):
@@ -77,5 +75,20 @@ def census_a5():
     twins = [verify_twin(ctx, st, uv) for st in cps for uv in cps
              if st.u.ids <= uv.u.ids]
     assert len(twins) == 237 and all(tp.verdict.holds for tp in twins)
+    return ctx, twins
+
+
+@pytest.fixture(scope="session")
+def fresh_census():
+    """fresh_census(bounds) -> (ctx, twins): the census twins, built in a
+    context nothing else has used."""
+    return _fresh_census
+
+
+@pytest.fixture(scope="session")
+def census_a5():
+    """Heart contexts of the 237 census twins, in one shared context."""
+    bounds = SearchBounds()
+    ctx, twins = _fresh_census(bounds)
     return [heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
             for tp in twins]

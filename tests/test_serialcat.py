@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cotorsionlab import repcore as rc
 from cotorsionlab.repcore import FieldChar, QuiverPresentation
 from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute, generate
+from cotorsionlab.subcat import Subcategory, find_left_approx, find_right_approx
 
 from oracles import (ext_nonzero_by_ses_search, hom_dim_enumerated,
                      multisets_by_product)
@@ -305,6 +306,23 @@ def test_equal_content_module_hits_the_split_cache(ctx, monkeypatch):
         got.validate()
     for c, d in zip(fwd.then(bwd).comps, ctx.realize(obj).dims):
         assert np.array_equal(c, np.eye(d, dtype=np.int64))
+
+
+def test_ids_outside_the_algebra_raise_value_error(ctx, bounds):
+    bad, good = IndecId(1, 6), IndecId(3, 4)  # [1,6] contains the path 5 -> 1
+    for x, y in ((bad, good), (good, bad), (bad, bad)):
+        for table in (ctx.hom_dim, ctx.ext_dim):
+            with pytest.raises(ValueError, match=r"\[1,6\] is not an indecomposable"):
+                table(x, y)
+    with pytest.raises(ValueError, match=r"\[1,6\]"):
+        ctx.mask({good, bad})
+    with pytest.raises(ValueError, match=r"\[1,6\]"):
+        find_left_approx(ctx, bad, Subcategory.everything(ctx),
+                         Subcategory.everything(ctx), bounds)
+    with pytest.raises(ValueError, match=r"\[1,6\]"):
+        find_right_approx(ctx, good, Subcategory(frozenset({bad})),
+                          Subcategory.everything(ctx), bounds)
+    assert ctx.hom_dim(good, IndecId(3, 5)) == 1 and ctx.ext_dim(good, good) == 0
 
 
 def test_cached_arrays_are_read_only(ctx):
