@@ -8,8 +8,7 @@ from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
                      find_right_approx, inter, left_perp, oplus, right_perp,
                      star_member, subcat_in_star)
 from .pairs import (CotorsionPair, HeartClasses, TwinPair, compute_hearts,
-                    membership_bminus, membership_bplus, verified_twin,
-                    verify_cotorsion, verify_twin)
+                    verified_twin, verify_cotorsion, verify_twin)
 from .heartcat import (HeartContext, HeartMorphism, check_abelian,
                        check_integral, cokernel_in_heart, enum_epi_triangles,
                        enum_mono_triangles, heart_context, is_epi_in_heart,

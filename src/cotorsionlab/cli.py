@@ -14,7 +14,7 @@ import time
 
 from . import fileformats as ff
 from .pairs import compute_hearts, verified_twin
-from .repcore import FieldChar, QuiverPresentation, env_seed
+from .repcore import FieldChar, QuiverPresentation
 from .serialcat import generate as generate_ctx
 from .subcat import SearchBounds, Verdict, ses_payload
 from .heartcat import (check_abelian, check_integral, heart_context,
@@ -39,7 +39,7 @@ def _emit(args, check: str, verdict: Verdict, ctx, subs, bounds,
         from .subcat import inter
         subs_out["W"] = inter(subs_out["U"], subs_out["T"], name="W")
     data = ff.report_payload(check, verdict.payload(), ctx.presentation,
-                             ctx.field, subs_out or None, bounds, args.seed,
+                             ctx.field, subs_out or None, bounds, 0,
                              time.monotonic() - started)
     if extra:
         data.update(extra)
@@ -220,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.seed = env_seed()
-    except ValueError as exc:
-        sys.stderr.write(f"error: COTORSION_LAB_SEED: {exc}\n")
-        return EXIT_BAD_INPUT
     for flag in ("bound_mult", "dim_cap", "max_squares"):
         value = getattr(args, flag, 1)
         if value < 1:

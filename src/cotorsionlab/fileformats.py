@@ -458,11 +458,34 @@ def _validate_heart_witnesses(ctx, cert_ctx, witnesses: dict, ids) -> None:
             raise ReplayFailure(f"bminus witness for {x} violates its id-claims")
 
 
+def _replay_triangle(ctx, cert_ctx, witnesses, tri: dict, kind: str,
+                     w_sub: Subcategory) -> tuple[Obj, Obj, Obj]:
+    """Check a stated epi- or mono-triangle and return its three terms: the
+    conflation is exact with the stated ids; its free end (the third term
+    of an epi-triangle, the first of a mono-triangle) lies in add(U), resp.
+    add(T); its inflation is core-monic, resp. its deflation core-epic; and
+    its two heart terms carry valid membership witnesses."""
+    from .heartcat import is_w_epic, is_w_monic  # local: avoids cycle
+
+    payload = tri["conflation"]
+    ses = ses_from_payload(ctx.presentation, ctx.field, payload)
+    f, m, t = _check_ses_ids(ctx, ses, payload)
+    epi = kind == "epi"
+    free, term, cls = (t, "third", "U") if epi else (f, "first", "T")
+    if not free.summands_in(_ids_from_strings(cert_ctx[cls])):
+        raise ReplayFailure(f"{kind}-triangle {term} term {free} leaves add({cls})")
+    if epi and not is_w_monic(ctx, ses.i, w_sub):
+        raise ReplayFailure("epi-triangle first map is not core-monic")
+    if not epi and not is_w_epic(ctx, ses.p, w_sub):
+        raise ReplayFailure("mono-triangle deflation is not core-epic")
+    heart = f.ids + m.ids if epi else m.ids + t.ids
+    _validate_heart_witnesses(ctx, cert_ctx, witnesses, sorted(set(heart)))
+    return f, m, t
+
+
 def replay_certificate(report: dict) -> list[str]:
     """Revalidate a stored certificate.  Returns human-readable check log;
     raises ReplayFailure on any mismatch."""
-    from .heartcat import is_w_epic, is_w_monic  # local: avoids cycle
-
     verdict = report.get("verdict", {})
     if not isinstance(verdict, dict):
         raise TypeError("verdict is not an object")
@@ -511,13 +534,8 @@ def replay_certificate(report: dict) -> list[str]:
             raise ReplayFailure("stated offending summand is not outside U")
         remaining = list(third.ids)
         for tri in cert["epi_triangles"]:
-            tp = tri["conflation"]
-            ses = ses_from_payload(pres, fieldc, tp)
-            f, m, t = _check_ses_ids(ctx, ses, tp)
-            if not t.summands_in(u_ids):
-                raise ReplayFailure(f"epi-triangle third term {t} leaves add(U)")
-            if not is_w_monic(ctx, ses.i, w_sub):
-                raise ReplayFailure("epi-triangle first map is not core-monic")
+            f, m, t = _replay_triangle(ctx, cert_ctx, cert["heart_witnesses"],
+                                       tri, "epi", w_sub)
             for x in t.ids:
                 if x not in remaining:
                     raise ReplayFailure("epi-triangle thirds exceed the quotient")
@@ -525,14 +543,8 @@ def replay_certificate(report: dict) -> list[str]:
             log.append(f"epi-triangle {f} -> {m} -> {t} validated")
         if remaining:
             raise ReplayFailure(f"quotient summands not certified: {remaining}")
-        _validate_heart_witnesses(
-            ctx, cert_ctx, cert["heart_witnesses"],
-            sorted(set(z.ids)
-                   | {IndecId.parse(s)
-                      for tri in cert["epi_triangles"]
-                      for term in ("first", "middle")
-                      for s in ([] if tri["conflation"][term] == "0"
-                                else tri["conflation"][term].split("+"))}))
+        _validate_heart_witnesses(ctx, cert_ctx, cert["heart_witnesses"],
+                                  sorted(set(z.ids)))
         log.append("heart membership witnesses validated")
         return log
 
@@ -543,18 +555,12 @@ def replay_certificate(report: dict) -> list[str]:
         if cond in (2, 3):
             # (2): the epi-triangle's third term leaves S+W; (3), its dual:
             # the mono-triangle's first term leaves V+W
-            key, core_test, failure, term, cls = {
-                2: ("epi_triangle", lambda ses: is_w_monic(ctx, ses.i, w_sub),
-                    "epi-triangle first map is not core-monic", 2, "S"),
-                3: ("mono_triangle", lambda ses: is_w_epic(ctx, ses.p, w_sub),
-                    "mono-triangle deflation is not core-epic", 0, "V")}[cond]
-            tp = cert[key]["conflation"]
-            ses = ses_from_payload(pres, fieldc, tp)
-            checked = _check_ses_ids(ctx, ses, tp)[term]
-            if not core_test(ses):
-                raise ReplayFailure(failure)
+            tri, cls = ("epi", "S") if cond == 2 else ("mono", "V")
+            f, _, t = _replay_triangle(ctx, cert_ctx, cert["heart_witnesses"],
+                                       cert[f"{tri}_triangle"], tri, w_sub)
+            checked = t if cond == 2 else f
             bad = IndecId.parse(cert["offending_summand"])
-            allowed = _ids_from_strings(report["subcategories"][cls])
+            allowed = _ids_from_strings(cert_ctx[cls])
             if bad not in set(checked.ids) or bad in (allowed | w_ids):
                 raise ReplayFailure(f"offending summand is inside {cls}+W after all")
             log.append(f"condition ({cond}) counterexample validated: {checked}")

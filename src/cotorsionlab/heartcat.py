@@ -9,9 +9,9 @@ are finite linear algebra.  Epi/mono tests run two independent methods
 a disagreement raises instead of producing a silent verdict.
 
 Verdict policy: bounded searches never upgrade to a universal Holds.
-Every Holds names a theorem route (star inclusion, id-set exhaustion,
-zero heart, or the one-simple-object shortcut); every Fails carries a
-self-contained certificate.
+Every Holds names a theorem route (star inclusion, zero heart, the
+one-simple-object shortcut, or condition (1) with an id-set inclusion);
+every Fails carries a self-contained certificate.
 """
 
 from __future__ import annotations
@@ -591,14 +591,6 @@ def _semisimple_shortcut(h: HeartContext) -> bool:
             and x in h.hearts.second.heart_ids())
 
 
-def _u_inside_s_plus_w(h: HeartContext) -> bool:
-    return h.tp.u.ids <= (h.tp.s.ids | h.w_ids)
-
-
-def _t_inside_v_plus_w(h: HeartContext) -> bool:
-    return h.tp.t.ids <= (h.tp.v.ids | h.w_ids)
-
-
 def _certificate_z_candidates(h: HeartContext, member_ids, outside,
                               bounds: SearchBounds, max_summands: int = 4,
                               dim_cap: int = 12):
@@ -615,10 +607,15 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
     """Decision ladder for integrality of the heart.
 
     Holds routes: zero heart; either star inclusion (U in S*T or
-    T in U*V); id-set exhaustion of U inside S+W (or T inside V+W); the
-    one-object shortcut (abelian implies integral).  Fails: a replayable
-    certificate against the epi-triangle criterion or its dual.
-    Otherwise unknown within bounds.
+    T in U*V); the one-object shortcut (abelian implies integral).  Fails:
+    a replayable certificate against the epi-triangle criterion or its
+    dual.  Otherwise unknown within bounds.
+
+    U inside S+W needs no route of its own: it implies U in S*T, since
+    z in S splits as z -> z -> 0 and z in W (inside T) as 0 -> z -> z, and
+    a verified twin keeps every indecomposable within dim_cap, so the
+    submodule scan never refuses (a refusal would raise, not fall through).
+    Likewise T inside V+W implies T in U*V.
     """
     bounds = bounds or h.bounds
     ctx = h.ctx
@@ -633,14 +630,6 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
     if star2.holds:
         return Verdict(status="holds", route="star-inclusion T in U*V",
                        witnesses=star2.witnesses, bounds=bounds)
-    if _u_inside_s_plus_w(h):
-        return Verdict(status="holds", route="U inside S+W (id-set exhaustion)",
-                       bounds=bounds,
-                       notes=("every epi-triangle third term lies in add(U), "
-                              "hence in S+W",))
-    if _t_inside_v_plus_w(h):
-        return Verdict(status="holds", route="T inside V+W (id-set exhaustion)",
-                       bounds=bounds)
     if _semisimple_shortcut(h):
         return Verdict(status="holds", route="one-simple-object heart "
                        "(abelian, hence integral)", bounds=bounds)
@@ -727,8 +716,11 @@ def _condition_verdict(h: HeartContext, cond: int,
         t, term, allowed, where = _mono_of(d, t), "first", h.tp.v.ids, "V+W"
     obj = getattr(t, term)
     bad = next(x for x in obj.ids if x not in allowed | h.w_ids)
+    heart_terms = (t.first, t.middle) if cond == 2 else (t.middle, t.third)
     cert = {"kind": "non_abelian", "condition": cond, f"{term}_term": str(obj),
-            "offending_summand": str(bad), f"{t.kind}_triangle": t.payload(h.ctx)}
+            "offending_summand": str(bad), f"{t.kind}_triangle": t.payload(h.ctx),
+            "heart_witnesses": _heart_witness_payload(
+                h, [x for o in heart_terms for x in o.ids])}
     return Verdict(status="fails", route=f"condition ({cond}): witnessed "
                    f"{t.kind}-triangle {term} term outside {where}",
                    certificate=cert, bounds=bounds)
@@ -774,24 +766,26 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
                        certificate=cert, bounds=bounds, exhaustive=True)
 
     # (2) and (3) cannot fail on the zero heart or a one-simple-object heart
-    by_theorem = not h.surviving or _semisimple_shortcut(h)
-    for cond in (() if by_theorem and not taint else (2, 3)):
+    theorem = None
+    if not h.surviving:
+        theorem = Verdict(status="holds", route="zero-heart", bounds=bounds)
+    elif _semisimple_shortcut(h):
+        theorem = Verdict(status="holds", route="one-simple-object heart",
+                          bounds=bounds,
+                          notes=("heart is equivalent to vector spaces over "
+                                 "the prime field",))
+    for cond in ((2, 3) if theorem is None or taint else ()):
         failed = _condition_verdict(h, cond, bounds)
         if failed is not None:
             return failed
-    if not h.surviving:
-        return Verdict(status="holds", route="zero-heart", bounds=bounds)
-    if _semisimple_shortcut(h):
-        return Verdict(status="holds", route="one-simple-object heart",
-                       bounds=bounds,
-                       notes=("heart is equivalent to vector spaces over "
-                              "the prime field",))
-    cond1_exact = (lhs == rhs) and not taint
-    if cond1_exact and lhs <= h1 and _u_inside_s_plus_w(h):
+    if theorem is not None:
+        return theorem
+    # condition (1) passed untainted, so the heart is (H1 cap H2) - W
+    if not taint and h.tp.u.ids <= h.tp.s.ids | h.w_ids:
         return Verdict(status="holds",
                        route="heart inside first heart + U inside S+W",
                        bounds=bounds, exhaustive=True)
-    if cond1_exact and lhs <= h2 and _t_inside_v_plus_w(h):
+    if not taint and h.tp.t.ids <= h.tp.v.ids | h.w_ids:
         return Verdict(status="holds",
                        route="heart inside second heart + T inside V+W",
                        bounds=bounds, exhaustive=True)

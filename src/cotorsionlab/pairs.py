@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId
-from .subcat import (SearchBounds, Subcategory, Verdict, approx_table,
-                     find_left_approx, find_right_approx, inter)
+from .subcat import SearchBounds, Subcategory, Verdict, approx_table, inter
 
 
 class _DualTable(Mapping):
@@ -159,18 +158,6 @@ def verified_twin(ctx: CategoryCtx, subs: Mapping[str, Subcategory],
     return verify_twin(ctx, st, uv)
 
 
-def membership_bplus(ctx: CategoryCtx, x: IndecId, tp: TwinPair,
-                     bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """Conflation V -> W -> x with V in add(V), W in add(core)."""
-    return find_left_approx(ctx, x, tp.w, tp.v, bounds)
-
-
-def membership_bminus(ctx: CategoryCtx, x: IndecId, tp: TwinPair,
-                      bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """Conflation x -> W' -> S with W' in add(core), S in add(S)."""
-    return find_right_approx(ctx, x, tp.w, tp.s, bounds)
-
-
 @dataclass
 class HeartTable:
     """Indecomposable-level membership for one twin's heart classes."""
@@ -213,8 +200,9 @@ class HeartTable:
 
 
 def _heart_table(ctx: CategoryCtx, tp: TwinPair, bounds: SearchBounds) -> HeartTable:
-    """The membership_bplus and membership_bminus tables, read from the
-    context's approximation tables; their unknown verdicts carry no notes."""
+    """The plus table (conflations V -> W -> x, V in add(V), W in the core)
+    and the minus table (x -> W -> S, S in add(S)), read from the context's
+    approximation tables; their unknown verdicts carry no notes."""
     pvs, pwit = approx_table(ctx, True, tp.w, tp.v, bounds)
     mvs, mwit = approx_table(ctx, False, tp.w, tp.s, bounds)
 

@@ -8,7 +8,6 @@ is immutable after construction and validated eagerly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,13 +272,6 @@ class Morphism:
         comps = [(c * m) % p for m in self.comps]
         return Morphism._make(self.source, self.target, comps)
 
-    def inverse(self) -> "Morphism":
-        if not self.is_iso():
-            raise ValueError("morphism is not invertible")
-        p = self.p
-        comps = [pf.inv(c, p) for c in self.comps]
-        return Morphism(self.target, self.source, comps, validate=False)
-
     def dual(self) -> "Morphism":
         """D(f): D(target) -> D(source), componentwise transposes."""
         return Morphism._make(self.target.dual(), self.source.dual(),
@@ -353,22 +345,28 @@ def hom_dim_brute(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
+def _restrict(m: Module, bases) -> Module | None:
+    """The subrepresentation of m spanned by one column basis per vertex,
+    its arrow maps solved from bases[i] X = maps[i] @ bases[i+1]; None if
+    the arrows leave the span."""
+    p = m.field.p
+    maps = []
+    for i in range(m.presentation.n - 1):
+        sol = pf.solve(bases[i], (m.maps[i] @ bases[i + 1]) % p, p)
+        if sol is None:
+            return None
+        maps.append(sol)
+    return Module(m.presentation, m.field, [b.shape[1] for b in bases], maps,
+                  validate=False)
+
+
 def kernel(f: Morphism) -> tuple[Module, Morphism]:
     """Kernel submodule with its inclusion; arrow maps are restrictions."""
-    p = f.p
-    pres = f.source.presentation
-    bases = [pf.nullspace(f.comps[v], p) for v in range(pres.n)]
-    dims = [b.shape[1] for b in bases]
-    maps = []
-    for i in range(pres.n - 1):
-        rhs = (f.source.maps[i] @ bases[i + 1]) % p
-        sol = pf.solve(bases[i], rhs, p)
-        if sol is None:
-            raise ArithmeticError("kernel is not a subrepresentation (bug)")
-        maps.append(sol)
-    k = Module(pres, f.source.field, dims, maps, validate=False)
-    incl = Morphism(k, f.source, bases, validate=False)
-    return k, incl
+    bases = [pf.nullspace(c, f.p) for c in f.comps]
+    k = _restrict(f.source, bases)
+    if k is None:
+        raise ArithmeticError("kernel is not a subrepresentation (bug)")
+    return k, Morphism(k, f.source, bases, validate=False)
 
 
 def cokernel(f: Morphism) -> tuple[Module, Morphism]:
@@ -393,20 +391,13 @@ def cokernel(f: Morphism) -> tuple[Module, Morphism]:
 def image(f: Morphism) -> tuple[Module, Morphism, Morphism]:
     """Image factorization f = incl . epi through the image submodule."""
     p = f.p
-    pres = f.source.presentation
-    bases = [pf.column_space_basis(f.comps[v], p) for v in range(pres.n)]
-    dims = [b.shape[1] for b in bases]
-    maps = []
-    for i in range(pres.n - 1):
-        rhs = (f.target.maps[i] @ bases[i + 1]) % p
-        sol = pf.solve(bases[i], rhs, p)
-        if sol is None:
-            raise ArithmeticError("image is not a subrepresentation (bug)")
-        maps.append(sol)
-    img = Module(pres, f.source.field, dims, maps, validate=False)
+    bases = [pf.column_space_basis(c, p) for c in f.comps]
+    img = _restrict(f.target, bases)
+    if img is None:
+        raise ArithmeticError("image is not a subrepresentation (bug)")
     incl = Morphism(img, f.target, bases, validate=False)
     epi_comps = []
-    for v in range(pres.n):
+    for v in range(f.source.presentation.n):
         sol = pf.solve(bases[v], f.comps[v], p)
         if sol is None:
             raise ArithmeticError("image factorization failed (bug)")
@@ -500,25 +491,14 @@ def submodules(m: Module, dim_cap: int = 24):
     if m.total_dim > dim_cap:
         raise EnumerationRefusedError(m.total_dim, dim_cap)
     p = m.field.p
-    pres = m.presentation
-    n = pres.n
+    n = m.presentation.n
 
     def build(v: int, chosen: list[np.ndarray]):
         # chosen holds bases for vertices v+1 .. n (in reverse order)
         if v == 0:
             bases = list(reversed(chosen))
-            dims = [b.shape[1] for b in bases]
-            maps = []
-            ok = True
-            for i in range(n - 1):
-                rhs = (m.maps[i] @ bases[i + 1]) % p
-                sol = pf.solve(bases[i], rhs, p)
-                if sol is None:
-                    ok = False
-                    break
-                maps.append(sol)
-            if ok:
-                sub = Module(pres, m.field, dims, maps, validate=False)
+            sub = _restrict(m, bases)
+            if sub is not None:
                 yield sub, Morphism(sub, m, bases, validate=False)
             return
         d = m.dims[v - 1]
@@ -714,13 +694,7 @@ def _fitting_split(m: Module, e: Morphism) -> tuple[Morphism, Morphism] | None:
     return kincl, iincl
 
 
-def env_seed() -> int:
-    """The seed in COTORSION_LAB_SEED, default 0; ValueError if malformed."""
-    return int(os.environ.get("COTORSION_LAB_SEED", "0"))
-
-
-def decompose_generic(m: Module, end_cap: int = 12,
-                      seed: int | None = None) -> list[Module]:
+def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Module]:
     """Fitting/idempotent decomposition, independent of serial structure.
 
     Tries Fitting splittings from endomorphism basis elements and seeded
@@ -728,8 +702,6 @@ def decompose_generic(m: Module, end_cap: int = 12,
     dim End <= end_cap.  Raises DecompositionInconclusiveError rather than
     guessing.  Pieces are returned sorted by (dims, total_dim).
     """
-    if seed is None:
-        seed = env_seed()
     rng = np.random.default_rng(seed)
     p = m.field.p
 

@@ -122,9 +122,6 @@ class Obj:
     def dual(self, n: int) -> "Obj":
         return Obj(tuple(i.dual(n) for i in self.ids))
 
-    def plus(self, other: "Obj") -> "Obj":
-        return Obj(self.ids + other.ids)
-
     def summands_in(self, ids: frozenset[IndecId] | set[IndecId]) -> bool:
         return all(i in ids for i in self.ids)
 

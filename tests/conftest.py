@@ -59,11 +59,11 @@ def ex_nonabelian(setups):
     return setups["ex-nonabelian"]
 
 
-def _fresh_census(bounds):
-    """A new context of n=5, relations {1-3, 2-5}, at F_2 and its 237
+def _fresh_census(bounds, p=2):
+    """A new context of n=5, relations {1-3, 2-5}, at F_p and its 237
     verified twins: every pair ((S,T),(U,V)) of complete cotorsion pairs
     (lperp(rperp X), rperp X) with S inside U."""
-    ctx = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(2))
+    ctx = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(p))
     found = set()
     for k in range(len(ctx.indecs) + 1):
         for xs in combinations(ctx.indecs, k):
@@ -80,8 +80,8 @@ def _fresh_census(bounds):
 
 @pytest.fixture(scope="session")
 def fresh_census():
-    """fresh_census(bounds) -> (ctx, twins): the census twins, built in a
-    context nothing else has used."""
+    """fresh_census(bounds, p=2) -> (ctx, twins): the census twins over
+    F_p, built in a context nothing else has used."""
     return _fresh_census
 
 

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -349,22 +350,6 @@ def test_replay_rejects_non_integer_context_fields(field, value, bad, tmp_path,
     assert f"must be an integer, got {bad!r}" in capsys.readouterr().out
 
 
-def test_bad_seed_exits_2(monkeypatch, capsys):
-    from cotorsionlab.repcore import decompose_generic
-    monkeypatch.setenv("COTORSION_LAB_SEED", "seven")
-    assert main(["check-twin", "--category", CATEGORY,
-                 "--pairs", pairs_file("ex-abelian")]) == 2
-    assert "COTORSION_LAB_SEED" in capsys.readouterr().err
-    from cotorsionlab.fixtures import paper_context
-    with pytest.raises(ValueError):
-        decompose_generic(paper_context().realize_id(IndecId(3, 5)))
-    monkeypatch.setenv("COTORSION_LAB_SEED", "7")
-    report_args = ["heart", "--category", CATEGORY,
-                   "--pairs", pairs_file("ex-abelian")]
-    assert main(report_args) == 0
-    assert "seed=7" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command,flag,value", [
     ("check-twin", "--bound-mult", "0"),
     ("heart", "--bound-mult", "-1"),
@@ -525,3 +510,28 @@ def test_no_unused_imports():
              if f.name != "__init__.py"]  # __init__ imports are re-exports
     assert len(files) > 20
     assert [u for f in files for u in _unused_imports(f)] == []
+
+
+def _references(node):
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_dead_definitions():
+    # every function, method and class defined in src/ is referenced
+    # somewhere outside its own body; dunder methods are called implicitly
+    root = FIXDIR.parent
+    trees = {f: ast.parse(f.read_text())
+             for d in ("src", "tests", "scripts", "perfbench")
+             for f in sorted((root / d).rglob("*.py"))}
+    total = sum((_references(t) for t in trees.values()), Counter())
+    dead = [f"{f.name}:{node.lineno}: {node.name}"
+            for f, tree in trees.items() if f.relative_to(root).parts[0] == "src"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and total[node.name] == _references(node)[node.name]]
+    assert len(trees) > 20
+    assert dead == []

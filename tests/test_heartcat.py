@@ -15,7 +15,7 @@ from cotorsionlab.heartcat import (HeartMorphism, WitnessCone, check_abelian,
                                    is_w_epic, is_w_monic, kernel_in_heart,
                                    probe_integral_direct,
                                    validate_kernel_universal_property)
-from cotorsionlab.fixtures import fixture_subcategories, paper_context
+from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.pairs import (compute_hearts, verified_twin, verify_cotorsion,
                                verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
@@ -107,6 +107,57 @@ def test_zero_heart_quotient_homs_vanish(ctx, bounds):
     for w in sorted(h.heart_ids):
         a = Obj.of(w)
         assert h.quotient_hom_dim(a, a) == 0
+
+
+def _canonical_maps(h, a, b, keep):
+    """The canonical maps x_i -> y_j with keep(x_i, y_j), each placed in
+    its block of Hom(a, b) and vectorized."""
+    ctx = h.ctx
+    parts_a = [ctx.realize_id(x) for x in a.ids]
+    parts_b = [ctx.realize_id(y) for y in b.ids]
+    return [rc.block_morphism(ctx.realize(a), ctx.realize(b), parts_a, parts_b,
+                              {(j, i): ctx.canonical_hom(x, y)}).vectorize()
+            for i, x in enumerate(a.ids) for j, y in enumerate(b.ids)
+            if ctx.hom_dim(x, y) and keep(x, y)]
+
+
+def assert_core_ideal_closed_form(h, a, b):
+    ctx = h.ctx
+    basis = [m.vectorize() for m in h.hom_basis(a, b)]
+    assert all(set(np.unique(v)) <= {0, 1} for v in basis)
+    assert not np.any(sum(basis) > 1)  # disjoint supports
+    canon = _canonical_maps(h, a, b, lambda x, y: True)
+    assert sorted(map(tuple, basis)) == sorted(map(tuple, canon))
+
+    def through_core(x, y):
+        return any(ctx.hom_dim(x, w) and ctx.hom_dim(w, y)
+                   and ctx.compose_canonical(x, w, y) == 1 for w in h.w_ids)
+    rows = sorted(_canonical_maps(h, a, b, through_core),
+                  key=lambda r: int(np.flatnonzero(r)[0]))
+    ideal = h.w_ideal(a, b)
+    assert np.array_equal(ideal, np.array(rows, dtype=np.int64).reshape(
+        len(rows), ideal.shape[1]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_core_ideal_has_the_closed_form(p, bounds):
+    # for canonical a = sum x_i, b = sum y_j, Hom(a, b) has the canonical
+    # maps x_i -> y_j as basis, and the core ideal is spanned by those that
+    # factor through some w in W with compose_canonical(x_i, w, y_j) = 1;
+    # every pair of single indecomposables on the three fixtures, and on
+    # ex-nonintegral at F_3 every pair of one and two summands
+    ctx = paper_context(p)
+    singles = [Obj.of(x) for x in ctx.indecs]
+    doubles = [Obj(xy) for xy in combinations_with_replacement(ctx.indecs, 2)]
+    for name in FIXTURES:
+        tp = verified_twin(ctx, fixture_subcategories(ctx, name), bounds)
+        h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+        pairs = [(a, b) for a in singles for b in singles]
+        if (name, p) == ("ex-nonintegral", 3):
+            pairs += [(a, b) for a in singles for b in doubles]
+            pairs += [(a, b) for a in doubles for b in singles]
+        for a, b in pairs:
+            assert_core_ideal_closed_form(h, a, b)
 
 
 # ---- core-monic / core-epic -------------------------------------------------

@@ -3,10 +3,10 @@ import pytest
 from cotorsionlab.fixtures import (EXPECTED_H1_NONABELIAN, EXPECTED_HEART,
                                    fixture_subcategories)
 from cotorsionlab.pairs import (compute_hearts, degenerate_twin,
-                                membership_bminus, membership_bplus,
                                 verify_cotorsion, verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import Subcategory
+from cotorsionlab.subcat import (Subcategory, find_left_approx,
+                                 find_right_approx)
 from cotorsionlab import repcore as rc
 
 
@@ -97,8 +97,8 @@ def test_h1_table_of_nonabelian_fixture(ex_nonabelian):
 def test_membership_trivial_for_core_objects(ctx, bounds, ex_nonintegral):
     tp = ex_nonintegral.tp
     for w in sorted(tp.w.ids)[:3]:
-        pv, _ = membership_bplus(ctx, w, tp, bounds)
-        mv, _ = membership_bminus(ctx, w, tp, bounds)
+        pv, _ = find_left_approx(ctx, w, tp.w, tp.v, bounds)
+        mv, _ = find_right_approx(ctx, w, tp.w, tp.s, bounds)
         assert pv.holds and mv.holds
 
 
@@ -116,15 +116,17 @@ def test_membership_witness_conflations_have_right_classes(ctx, ex_nonintegral):
 
 
 def test_paper_heart_member_has_both_witnesses(ctx, bounds, ex_nonintegral):
-    pv, pses = membership_bplus(ctx, IndecId(3, 5), ex_nonintegral.tp, bounds)
-    mv, mses = membership_bminus(ctx, IndecId(3, 5), ex_nonintegral.tp, bounds)
+    tp = ex_nonintegral.tp
+    pv, pses = find_left_approx(ctx, IndecId(3, 5), tp.w, tp.v, bounds)
+    mv, mses = find_right_approx(ctx, IndecId(3, 5), tp.w, tp.s, bounds)
     assert pv.holds and mv.holds
 
 
 def test_membership_without_witness_reports_unknown(ctx, bounds, ex_nonintegral):
     # [4,5] sits outside the plus class of this twin; its complete reduced
     # search must come back empty, flagged exhaustive
-    v, ses = membership_bplus(ctx, IndecId(4, 5), ex_nonintegral.tp, bounds)
+    tp = ex_nonintegral.tp
+    v, ses = find_left_approx(ctx, IndecId(4, 5), tp.w, tp.v, bounds)
     assert v.unknown and v.exhaustive and ses is None
 
 
