@@ -1,8 +1,8 @@
 """Twin cotorsion pairs and their hearts over bound linear Nakayama
 algebras, with machine-checkable integrality/abelianness certificates."""
 
-from .repcore import (DecompositionInconclusiveError, EnumerationRefusedError,
-                      FieldChar, Module, Morphism, QuiverPresentation, SES)
+from .repcore import (EnumerationRefusedError, FieldChar, Module, Morphism,
+                      QuiverPresentation, SES)
 from .serialcat import CategoryCtx, IndecId, Obj, generate
 from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
                      find_right_approx, inter, left_perp, oplus, right_perp,

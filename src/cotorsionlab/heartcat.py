@@ -349,35 +349,6 @@ def cokernel_in_heart(hm: HeartMorphism) -> tuple[Obj, HeartMorphism, tuple[str,
     return cobj2, HeartMorphism(h, hm.dst, cobj2, kmor), tuple(notes)
 
 
-def validate_kernel_universal_property(hm: HeartMorphism, kobj: Obj,
-                                       kmor: HeartMorphism) -> bool:
-    """Lemma-style probe: every underline map d: D -> A killed by f
-    factors through the kernel, uniquely modulo the core ideal, for all
-    surviving heart indecomposables D."""
-    h = hm.hctx
-    p = h.ctx.field.p
-    for did in h.surviving:
-        d = Obj.of(did)
-        basis_dk = h.hom_basis(d, kobj)
-        mat_dk = (np.stack([g.then(kmor.mor).vectorize() for g in basis_dk], axis=1)
-                  if basis_dk else pf.zeros(h.basis_matrix(d, hm.src).shape[0], 0))
-        ideal_da = h.w_ideal(d, hm.src)
-        span = np.hstack([mat_dk, ideal_da.T]) if ideal_da.size else mat_dk
-        for coeffs in product(range(p), repeat=len(h.hom_basis(d, hm.src))):
-            dm = heart_morphism_from_coeffs(h, d, hm.src, coeffs).mor
-            if not h.in_ideal(d, hm.dst, dm.then(hm.mor)):
-                continue
-            vec = dm.vectorize().reshape(-1, 1)
-            if vec.size and pf.solve(span, vec, p) is None:
-                return False
-        # uniqueness: underline(kmor) is monic against D
-        ker = pf.nullspace((h.quotient_projector(d, hm.src) @ mat_dk) % p, p)
-        if ker.shape[1] and np.any((h.quotient_projector(d, kobj)
-                                    @ h.basis_matrix(d, kobj) @ ker) % p):
-            return False
-    return True
-
-
 # -- epi- and mono-triangle enumeration -----------------------------------
 
 

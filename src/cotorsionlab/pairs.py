@@ -15,7 +15,30 @@ from dataclasses import dataclass, field
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId
-from .subcat import SearchBounds, Subcategory, Verdict, approx_table, inter
+from .subcat import (SearchBounds, Subcategory, Verdict, approx_table,
+                     approx_witness, inter)
+
+
+class _WitnessTable(Mapping):
+    """An IndecId -> SES table of approximation winners, each realized by
+    `approx_witness` when read.  Not cached in the context, so holding the
+    context makes no reference cycle."""
+
+    def __init__(self, ctx: CategoryCtx, b_is_third: bool,
+                 partners: Mapping[IndecId, int]):
+        self._ctx, self._b_is_third, self._partners = ctx, b_is_third, partners
+
+    def __getitem__(self, x: IndecId) -> rc.SES:
+        return approx_witness(self._ctx, x, self._b_is_third, self._partners[x])
+
+    def __contains__(self, x) -> bool:
+        return x in self._partners
+
+    def __iter__(self):
+        return iter(self._partners)
+
+    def __len__(self) -> int:
+        return len(self._partners)
 
 
 class _DualTable(Mapping):
@@ -30,6 +53,9 @@ class _DualTable(Mapping):
             self._done[x] = self._table[x.dual(self._n)].dual()
         return self._done[x]
 
+    def __contains__(self, x) -> bool:
+        return x.dual(self._n) in self._table
+
     def __iter__(self):
         return (x.dual(self._n) for x in self._table)
 
@@ -42,7 +68,8 @@ class CotorsionPair:
     u: Subcategory
     v: Subcategory
     verdict: Verdict
-    # per-indecomposable witness conflations (live objects, not serialized):
+    # per-indecomposable witness conflations (live objects, realized when
+    # read, not serialized):
     #   left[b]:  V_B -> U_B -> B     right[b]: B -> V^B -> U^B
     left: Mapping[IndecId, rc.SES] = field(default_factory=dict)
     right: Mapping[IndecId, rc.SES] = field(default_factory=dict)
@@ -63,17 +90,11 @@ def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
                                  "u": u.display(), "v": v.display()},
                     bounds=bounds, exhaustive=True)
                 return CotorsionPair(u, v, verdict)
-    left: dict[IndecId, rc.SES] = {}
-    right: dict[IndecId, rc.SES] = {}
+    lvs, lwin = approx_table(ctx, True, u, v, bounds)
+    rvs, rwin = approx_table(ctx, False, v, u, bounds)
     unwitnessed = []
     truncated = False
-    lvs, lwit = approx_table(ctx, True, u, v, bounds)
-    rvs, rwit = approx_table(ctx, False, v, u, bounds)
-    for b, lv, lses, rv, rses in zip(ctx.indecs, lvs, lwit, rvs, rwit):
-        if lv.holds:
-            left[b] = lses
-        if rv.holds:
-            right[b] = rses
+    for b, lv, rv in zip(ctx.indecs, lvs, rvs):
         if not (lv.holds and rv.holds):
             unwitnessed.append(str(b))
             truncated = truncated or not (lv.exhaustive and rv.exhaustive)
@@ -89,7 +110,8 @@ def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
                       bounds=bounds, exhaustive=True,
                       notes=(f"approximation conflations witnessed for all "
                              f"{len(ctx.indecs)} indecomposables",))
-    return CotorsionPair(u, v, verdict, left, right)
+    return CotorsionPair(u, v, verdict, _WitnessTable(ctx, True, lwin),
+                         _WitnessTable(ctx, False, rwin))
 
 
 @dataclass
@@ -203,13 +225,10 @@ def _heart_table(ctx: CategoryCtx, tp: TwinPair, bounds: SearchBounds) -> HeartT
     """The plus table (conflations V -> W -> x, V in add(V), W in the core)
     and the minus table (x -> W -> S, S in add(S)), read from the context's
     approximation tables; their unknown verdicts carry no notes."""
-    pvs, pwit = approx_table(ctx, True, tp.w, tp.v, bounds)
-    mvs, mwit = approx_table(ctx, False, tp.w, tp.s, bounds)
-
-    def present(witnesses):
-        return {x: ses for x, ses in zip(ctx.indecs, witnesses) if ses is not None}
+    pvs, pwin = approx_table(ctx, True, tp.w, tp.v, bounds)
+    mvs, mwin = approx_table(ctx, False, tp.w, tp.s, bounds)
     return HeartTable(tp.w, dict(zip(ctx.indecs, pvs)), dict(zip(ctx.indecs, mvs)),
-                      present(pwit), present(mwit))
+                      _WitnessTable(ctx, True, pwin), _WitnessTable(ctx, False, mwin))
 
 
 @dataclass

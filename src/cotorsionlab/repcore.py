@@ -26,10 +26,6 @@ class EnumerationRefusedError(RuntimeError):
         self.cap = cap
 
 
-class DecompositionInconclusiveError(RuntimeError):
-    """Raised instead of ever returning a possibly-wrong splitting."""
-
-
 @dataclass(frozen=True)
 class FieldChar:
     p: int = 2
@@ -388,24 +384,6 @@ def cokernel(f: Morphism) -> tuple[Module, Morphism]:
     return c, proj
 
 
-def image(f: Morphism) -> tuple[Module, Morphism, Morphism]:
-    """Image factorization f = incl . epi through the image submodule."""
-    p = f.p
-    bases = [pf.column_space_basis(c, p) for c in f.comps]
-    img = _restrict(f.target, bases)
-    if img is None:
-        raise ArithmeticError("image is not a subrepresentation (bug)")
-    incl = Morphism(img, f.target, bases, validate=False)
-    epi_comps = []
-    for v in range(f.source.presentation.n):
-        sol = pf.solve(bases[v], f.comps[v], p)
-        if sol is None:
-            raise ArithmeticError("image factorization failed (bug)")
-        epi_comps.append(sol)
-    epi = Morphism(f.source, img, epi_comps, validate=False)
-    return img, incl, epi
-
-
 @dataclass(frozen=True)
 class SES:
     """Short exact sequence i: A -> B, p: B -> C, validated on creation."""
@@ -677,75 +655,3 @@ def decompose(m: Module) -> Decomposition:
         incls=[it[1] for it in items],
         projs=[it[2] for it in items],
     )
-
-
-def _fitting_split(m: Module, e: Morphism) -> tuple[Morphism, Morphism] | None:
-    """Stabilize e and return inclusions of (ker, im) if both are proper."""
-    p = m.field.p
-    power = e
-    for _ in range(max(1, m.total_dim).bit_length() + 1):
-        power = power.then(power)
-    k, kincl = kernel(power)
-    if k.total_dim == 0 or k.total_dim == m.total_dim:
-        return None
-    img, iincl, _ = image(power)
-    if k.total_dim + img.total_dim != m.total_dim:
-        return None
-    return kincl, iincl
-
-
-def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Module]:
-    """Fitting/idempotent decomposition, independent of serial structure.
-
-    Tries Fitting splittings from endomorphism basis elements and seeded
-    random combinations; falls back to exhaustive idempotent search while
-    dim End <= end_cap.  Raises DecompositionInconclusiveError rather than
-    guessing.  Pieces are returned sorted by (dims, total_dim).
-    """
-    rng = np.random.default_rng(seed)
-    p = m.field.p
-
-    def combine(tensors, coeffs):
-        return [np.tensordot(coeffs, t, axes=1) % p if t.size
-                else t[0] for t in tensors]
-
-    def rec(sub: Module) -> list[Module]:
-        if sub.is_zero:
-            return []
-        basis = hom_space(sub, sub)
-        if len(basis) == 1:
-            return [sub]
-        k = len(basis)
-        # per-vertex stacked basis components, for cheap linear combinations
-        tensors = [np.stack([b.comps[v] for b in basis])
-                   for v in range(sub.presentation.n)]
-        cand_vectors = [np.eye(k, dtype=np.int64)[i] for i in range(k)]
-        cand_vectors += [rng.integers(0, p, size=k) for _ in range(8)]
-        for coeffs in cand_vectors:
-            if not np.any(coeffs % p):
-                continue
-            e = Morphism._make(sub, sub, combine(tensors, coeffs))
-            split = _fitting_split(sub, e)
-            if split is not None:
-                kincl, iincl = split
-                return rec(kincl.source) + rec(iincl.source)
-        if k <= end_cap:
-            for vec in pf.enumerate_vectors(k, p):
-                if not np.any(vec):
-                    continue
-                comps = combine(tensors, vec)
-                if any(np.any((c @ c - c) % p) for c in comps):
-                    continue  # not idempotent
-                if all(np.array_equal(c, np.eye(c.shape[0], dtype=np.int64))
-                       for c in comps):
-                    continue  # the identity splits nothing
-                e = Morphism._make(sub, sub, comps)
-                split = _fitting_split(sub, e)
-                if split is not None:
-                    kincl, iincl = split
-                    return rec(kincl.source) + rec(iincl.source)
-            return [sub]  # no nontrivial idempotent: certified indecomposable
-        raise DecompositionInconclusiveError(
-            f"dim End = {k} exceeds cap {end_cap} and Fitting found no split")
-
-    return sorted(rec(m), key=lambda x: (x.total_dim, x.dims))

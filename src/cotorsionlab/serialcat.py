@@ -203,6 +203,10 @@ class CategoryCtx:
         except KeyError as e:
             raise ValueError(self._unknown(e.args[0])) from None
 
+    def unmask(self, mask: int) -> Obj:
+        """The object with one summand per id in the bitmask `mask`."""
+        return Obj(tuple(x for x, bit in self._bit.items() if mask & bit))
+
     def projective_cover_id(self, x: IndecId) -> IndecId:
         return IndecId(self.presentation.proj_bottom(x.b), x.b)
 
@@ -427,16 +431,50 @@ class CategoryCtx:
         u = [c[:, d:] for c, d in zip(q.comps, pmod.dims)]
         return SES(Morphism(y_mod, e_mod, u), v)
 
-    def extensions(self, x: IndecId, y: IndecId) -> list[Obj]:
-        """Decomposed middle term for each class of Ext(x, y), split first."""
-        self.check_id(x)
-        self.check_id(y)
-        middles = [Obj.of(x, y)]
-        if self.ext_dim(x, y):
-            for lam in range(1, self.field.p):
-                ses = self.ses_for_class(Obj.of(x), Obj.of(y), {(0, 0): lam})
-                middles.append(self.identify(ses.middle))
-        return middles
+    def ones_class_middle(self, third: Obj, first: Obj) -> Obj:
+        """The middle term of `ses_for_class(third, first, ...)` with every
+        coefficient 1, in closed form: no module is built.  One end is a
+        single indecomposable b, and Ext between b and each summand of the
+        other end is 1.
+
+        Proof sketch for b = [a, t] the third term and Y the first terms
+        (many thirds and one first is the image of this case under D).
+        Hom and Ext between intervals are 0 or 1 (Auslander-Reiten-Smalo,
+        ch. VI), and Ext(b, y) = 1 says y = [c, d] with c <= a-1 <= d < t,
+        so every y contains a-1.  Then Hom(y, y') is nonzero iff c <= c'
+        and d <= d', and the canonical y -> y' composed with the canonical
+        Omega(b) -> y is the canonical Omega(b) -> y'.  So if y' receives a
+        map from another member y, the automorphism id - iota of the sum of
+        Y (iota: y -> y') clears the y' part of the class: y' splits off
+        (of two equal members, one copy stays).  The members left form a
+        chain c_1 < ... < c_k, d_1 > ... > d_k.  In the pushout the basis
+        of P(t) at [a, t] steps at a-1 into the sum of the y_i; with that
+        sum as a new basis below a it spans [c_1, t], and what remains is
+        the same picture with the top [a, d_1] (basis y_1 - P(t)) stepping
+        into minus the sum of y_2, ..., y_k.  By induction the middle is
+        [c_1, t] + [c_2, d_1] + ... + [c_k, d_(k-1)] + [a, d_k] plus the
+        split members, where [a, d_k] is empty when d_k = a-1.
+        """
+        if any(not self.ext_dim(x, y) for x in third.ids for y in first.ids):
+            raise ValueError("every class cell needs Ext 1")
+        n = self.presentation.n
+        if len(third.ids) == 1:
+            b, ys, back = third.ids[0], first.ids, lambda x: x
+        elif len(first.ids) == 1:
+            b, ys = first.ids[0].dual(n), [x.dual(n) for x in third.ids]
+            back = lambda x: x.dual(n)
+        else:
+            raise ValueError("one end must be a single indecomposable")
+        top, mids = b.b, []
+        for y in sorted(ys):
+            if y.b < top:  # no earlier member maps to y: glue it in
+                mids.append(IndecId(y.a, top))
+                top = y.b
+            else:
+                mids.append(y)
+        if top >= b.a:
+            mids.append(IndecId(b.a, top))
+        return Obj(tuple(map(back, mids)))
 
 
 def _frozen(value):

@@ -8,7 +8,9 @@ classes instead of raw surjections: every conflation with an
 indecomposable end splits into a part whose kernel/cokernel uses each
 ext-supporting indecomposable at most once plus a redundant split
 summand, so subsets of the ext support with all-ones class coefficients
-cover the whole search space.  A failed search is therefore complete
+cover the whole search space.  Their middle terms have a closed form
+(`CategoryCtx.ones_class_middle`), so a search builds no module; only a
+witness that is read is realized.  A failed search is therefore complete
 (flagged `exhaustive`) unless the dimension cap truncated it.
 
 Neither kind of search depends on the twin that asks for it, so each
@@ -17,7 +19,9 @@ runs once per category context and key, in `CategoryCtx.cached`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from . import repcore as rc
 from .serialcat import CategoryCtx, IndecId, Obj
@@ -248,35 +252,31 @@ def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
 
 def _approx_search(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
                    middle: Subcategory, partner: Subcategory,
-                   bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """The verdict and witness of the first conflation with b at one end
-    (the third term if b_is_third, else the first), its middle in
-    add(middle) and a partner in add(partner) at the other end.
+                   bounds: SearchBounds) -> tuple[Verdict, int | None]:
+    """The verdict of the first conflation with b at one end (the third
+    term if b_is_third, else the first), its middle in add(middle) and a
+    partner in add(partner) at the other end, and that partner set as a
+    `ctx.mask` (0 for the split conflation), or None.
 
     Partners are the subsets of the partner ids with nonzero Ext against
     b, in ascending (dim, lex) order, the empty one (the split conflation)
-    first, each realized with all-ones class coefficients.  The verdict is
+    first, each with all-ones class coefficients; the middle of each
+    comes from `ones_class_middle`, so no module is built.  The verdict is
     one of the context's shared ones and carries no notes.
     """
     fixed = Obj.of(b)
     budget = bounds.dim_cap - fixed.total_dim
-
-    def ses(other: Obj) -> rc.SES:
-        cells = range(len(other.ids))
-        if b_is_third:
-            return ctx.ses_for_class(fixed, other, {(0, j): 1 for j in cells})
-        return ctx.ses_for_class(other, fixed, {(i, 0): 1 for i in cells})
-
     if budget >= 0 and b in middle:
-        return _shared(ctx, "holds", "split", bounds, True), ses(Obj())
+        return _shared(ctx, "holds", "split", bounds, True), 0
     if b_is_third:
         pool = [y for y in sorted(partner.ids) if ctx.ext_dim(b, y) == 1]
     else:
         pool = [y for y in sorted(partner.ids) if ctx.ext_dim(y, b) == 1]
     for other in Obj.multisets(pool, 1, budget)[1:]:
-        found = ses(other)
-        if middle.contains_obj(ctx.identify(found.middle)):
-            return _shared(ctx, "holds", "extension-class search", bounds, True), found
+        ends = (fixed, other) if b_is_third else (other, fixed)
+        if middle.contains_obj(ctx.ones_class_middle(*ends)):
+            return (_shared(ctx, "holds", "extension-class search", bounds, True),
+                    ctx.mask(other.ids))
     complete = sum(i.dim for i in pool) <= budget
     return _shared(ctx, "unknown", "extension-class search", bounds, complete), None
 
@@ -290,33 +290,52 @@ def _shared(ctx: CategoryCtx, status: str, route: str, bounds: SearchBounds,
 
 def approx_table(ctx: CategoryCtx, b_is_third: bool, middle: Subcategory,
                  partner: Subcategory, bounds: SearchBounds
-                 ) -> tuple[tuple[Verdict, ...], tuple[rc.SES | None, ...]]:
-    """The verdicts and the witnesses of `_approx_search` for every
-    indecomposable, in `ctx.indecs` order.
+                 ) -> tuple[tuple[Verdict, ...], Mapping[IndecId, int]]:
+    """The verdicts of `_approx_search` for every indecomposable, in
+    `ctx.indecs` order, and the partner set of each winner as a mask,
+    read-only; `approx_witness` realizes a winner's conflation.
 
     The searches depend on the two id sets and the bounds only, so the
     table is built once per context and key, and every cotorsion pair,
-    twin and heart table of the context that asks for it shares it.
+    twin and heart table of the context that asks for it shares it.  It
+    holds no module and no reference to the context.
     """
     def build():
-        found = [_approx_search(ctx, b, b_is_third, middle, partner, bounds)
-                 for b in ctx.indecs]
-        return tuple(v for v, _ in found), tuple(ses for _, ses in found)
+        verdicts, winners = [], {}
+        for b in ctx.indecs:
+            verdict, partners = _approx_search(ctx, b, b_is_third, middle,
+                                               partner, bounds)
+            verdicts.append(verdict)
+            if partners is not None:
+                winners[b] = partners
+        return tuple(verdicts), MappingProxyType(winners)
 
     return ctx.cached(("approx", b_is_third, ctx.mask(middle.ids),
                        ctx.mask(partner.ids), bounds), build)
 
 
+def approx_witness(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
+                   partners: int) -> rc.SES:
+    """The witness conflation of a table winner: the all-ones class
+    between b and the partner set `partners` (a `ctx.mask`), from
+    `ses_for_class` and so cached there."""
+    other = ctx.unmask(partners)
+    cells = range(len(other.ids))
+    if b_is_third:
+        return ctx.ses_for_class(Obj.of(b), other, {(0, j): 1 for j in cells})
+    return ctx.ses_for_class(other, Obj.of(b), {(i, 0): 1 for i in cells})
+
+
 def _table_entry(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
                  middle: Subcategory, partner: Subcategory,
                  bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
-    """The table entry of b, an unknown verdict worded by note()."""
-    i = ctx.index(b)
-    verdicts, witnesses = approx_table(ctx, b_is_third, middle, partner, bounds)
-    verdict = verdicts[i]
+    """The table entry of b and its witness, an unknown verdict worded by
+    note()."""
+    verdicts, winners = approx_table(ctx, b_is_third, middle, partner, bounds)
+    verdict = verdicts[ctx.index(b)]
     if verdict.unknown:
-        verdict = replace(verdict, notes=(note(),))
-    return verdict, witnesses[i]
+        return replace(verdict, notes=(note(),)), None
+    return verdict, approx_witness(ctx, b, b_is_third, winners[b])
 
 
 def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,

@@ -3,7 +3,10 @@
 These deliberately avoid the solver paths they check: morphism spaces are
 found by enumerating all component tuples and testing naturality entry by
 entry; submodules by enumerating all per-vertex subspace tuples; Ext by
-searching all middle candidates for a non-split conflation.
+searching all middle candidates for a non-split conflation.  The
+generic Fitting decomposition, the image factorization, the middles of
+every Ext class and the kernel universal-property probe are
+cross-checks that nothing in the solver calls.
 """
 
 from itertools import product
@@ -11,8 +14,10 @@ from itertools import product
 import numpy as np
 
 from cotorsionlab import primefield as pf
-from cotorsionlab.repcore import Module
-from cotorsionlab.serialcat import CategoryCtx, Obj
+from cotorsionlab import repcore as rc
+from cotorsionlab.heartcat import HeartMorphism, heart_morphism_from_coeffs
+from cotorsionlab.repcore import Module, Morphism
+from cotorsionlab.serialcat import CategoryCtx, IndecId, Obj
 
 
 def all_matrices(rows, cols, p):
@@ -75,8 +80,6 @@ def count_submodules_enumerated(m: Module) -> int:
 def ext_nonzero_by_ses_search(ctx: CategoryCtx, x, y) -> bool:
     """Does a non-split conflation y -> E -> x exist?  Searches every
     middle candidate with the right dimension vector and every submodule."""
-    from cotorsionlab import repcore as rc
-
     xmod, ymod = ctx.realize_id(x), ctx.realize_id(y)
     want = tuple(a + b for a, b in zip(xmod.dims, ymod.dims))
     split = Obj.of(x, y)
@@ -136,8 +139,6 @@ def multisets_by_product(ids, mult, dim_cap, max_summands=None):
 def direct_sum_embeddings(modules, presentation, fieldc):
     """repcore.direct_sum with its canonical inclusions and projections,
     each built as an identity block at the summand's offsets."""
-    from cotorsionlab import repcore as rc
-
     total = rc.direct_sum(modules, presentation, fieldc)
     incls, projs = [], []
     offsets = [0] * presentation.n
@@ -157,8 +158,6 @@ def block_morphism_by_sum(source_parts, target_parts, blocks, presentation,
                           fieldc):
     """repcore.block_morphism by its definition: the sum over the blocks
     f = blocks[j, i] of proj_i . f . incl_j, with direct_sum's embeddings."""
-    from cotorsionlab import repcore as rc
-
     src, _, projs = direct_sum_embeddings(source_parts, presentation, fieldc)
     dst, incls, _ = direct_sum_embeddings(target_parts, presentation, fieldc)
     out = rc.zero_morphism(src, dst)
@@ -193,3 +192,138 @@ def core_epic(h, src: Obj, dst: Obj, mor) -> bool:
     n = h.ctx.presentation.n
     return h.dual().core_monic(dst.dual(n), src.dual(n),
                                h.ctx.dual_morphism(src, dst, mor))
+
+
+def extensions(ctx: CategoryCtx, x: IndecId, y: IndecId) -> list[Obj]:
+    """Decomposed middle term for each class of Ext(x, y), split first."""
+    ctx.check_id(x)
+    ctx.check_id(y)
+    middles = [Obj.of(x, y)]
+    if ctx.ext_dim(x, y):
+        for lam in range(1, ctx.field.p):
+            ses = ctx.ses_for_class(Obj.of(x), Obj.of(y), {(0, 0): lam})
+            middles.append(ctx.identify(ses.middle))
+    return middles
+
+
+class DecompositionInconclusiveError(RuntimeError):
+    """Raised instead of ever returning a possibly-wrong splitting."""
+
+
+def image(f: Morphism) -> tuple[Module, Morphism, Morphism]:
+    """Image factorization f = incl . epi through the image submodule."""
+    p = f.p
+    bases = [pf.column_space_basis(c, p) for c in f.comps]
+    img = rc._restrict(f.target, bases)
+    if img is None:
+        raise ArithmeticError("image is not a subrepresentation (bug)")
+    incl = Morphism(img, f.target, bases, validate=False)
+    epi_comps = []
+    for v in range(f.source.presentation.n):
+        sol = pf.solve(bases[v], f.comps[v], p)
+        if sol is None:
+            raise ArithmeticError("image factorization failed (bug)")
+        epi_comps.append(sol)
+    epi = Morphism(f.source, img, epi_comps, validate=False)
+    return img, incl, epi
+
+
+def _fitting_split(m: Module, e: Morphism) -> tuple[Morphism, Morphism] | None:
+    """Stabilize e and return inclusions of (ker, im) if both are proper."""
+    p = m.field.p
+    power = e
+    for _ in range(max(1, m.total_dim).bit_length() + 1):
+        power = power.then(power)
+    k, kincl = rc.kernel(power)
+    if k.total_dim == 0 or k.total_dim == m.total_dim:
+        return None
+    img, iincl, _ = image(power)
+    if k.total_dim + img.total_dim != m.total_dim:
+        return None
+    return kincl, iincl
+
+
+def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Module]:
+    """Fitting/idempotent decomposition, independent of serial structure.
+
+    Tries Fitting splittings from endomorphism basis elements and seeded
+    random combinations; falls back to exhaustive idempotent search while
+    dim End <= end_cap.  Raises DecompositionInconclusiveError rather than
+    guessing.  Pieces are returned sorted by (dims, total_dim).
+    """
+    rng = np.random.default_rng(seed)
+    p = m.field.p
+
+    def combine(tensors, coeffs):
+        return [np.tensordot(coeffs, t, axes=1) % p if t.size
+                else t[0] for t in tensors]
+
+    def rec(sub: Module) -> list[Module]:
+        if sub.is_zero:
+            return []
+        basis = rc.hom_space(sub, sub)
+        if len(basis) == 1:
+            return [sub]
+        k = len(basis)
+        # per-vertex stacked basis components, for cheap linear combinations
+        tensors = [np.stack([b.comps[v] for b in basis])
+                   for v in range(sub.presentation.n)]
+        cand_vectors = [np.eye(k, dtype=np.int64)[i] for i in range(k)]
+        cand_vectors += [rng.integers(0, p, size=k) for _ in range(8)]
+        for coeffs in cand_vectors:
+            if not np.any(coeffs % p):
+                continue
+            e = Morphism._make(sub, sub, combine(tensors, coeffs))
+            split = _fitting_split(sub, e)
+            if split is not None:
+                kincl, iincl = split
+                return rec(kincl.source) + rec(iincl.source)
+        if k <= end_cap:
+            for vec in pf.enumerate_vectors(k, p):
+                if not np.any(vec):
+                    continue
+                comps = combine(tensors, vec)
+                if any(np.any((c @ c - c) % p) for c in comps):
+                    continue  # not idempotent
+                if all(np.array_equal(c, np.eye(c.shape[0], dtype=np.int64))
+                       for c in comps):
+                    continue  # the identity splits nothing
+                e = Morphism._make(sub, sub, comps)
+                split = _fitting_split(sub, e)
+                if split is not None:
+                    kincl, iincl = split
+                    return rec(kincl.source) + rec(iincl.source)
+            return [sub]  # no nontrivial idempotent: certified indecomposable
+        raise DecompositionInconclusiveError(
+            f"dim End = {k} exceeds cap {end_cap} and Fitting found no split")
+
+    return sorted(rec(m), key=lambda x: (x.total_dim, x.dims))
+
+
+def validate_kernel_universal_property(hm: HeartMorphism, kobj: Obj,
+                                       kmor: HeartMorphism) -> bool:
+    """Lemma-style probe: every underline map d: D -> A killed by f
+    factors through the kernel, uniquely modulo the core ideal, for all
+    surviving heart indecomposables D."""
+    h = hm.hctx
+    p = h.ctx.field.p
+    for did in h.surviving:
+        d = Obj.of(did)
+        basis_dk = h.hom_basis(d, kobj)
+        mat_dk = (np.stack([g.then(kmor.mor).vectorize() for g in basis_dk], axis=1)
+                  if basis_dk else pf.zeros(h.basis_matrix(d, hm.src).shape[0], 0))
+        ideal_da = h.w_ideal(d, hm.src)
+        span = np.hstack([mat_dk, ideal_da.T]) if ideal_da.size else mat_dk
+        for coeffs in product(range(p), repeat=len(h.hom_basis(d, hm.src))):
+            dm = heart_morphism_from_coeffs(h, d, hm.src, coeffs).mor
+            if not h.in_ideal(d, hm.dst, dm.then(hm.mor)):
+                continue
+            vec = dm.vectorize().reshape(-1, 1)
+            if vec.size and pf.solve(span, vec, p) is None:
+                return False
+        # uniqueness: underline(kmor) is monic against D
+        ker = pf.nullspace((h.quotient_projector(d, hm.src) @ mat_dk) % p, p)
+        if ker.shape[1] and np.any((h.quotient_projector(d, kobj)
+                                    @ h.basis_matrix(d, kobj) @ ker) % p):
+            return False
+    return True

@@ -13,13 +13,14 @@ from cotorsionlab.heartcat import (HeartMorphism, WitnessCone, check_abelian,
                                    heart_context, heart_morphism_from_coeffs,
                                    is_epi_in_heart, is_mono_in_heart,
                                    is_w_epic, is_w_monic, kernel_in_heart,
-                                   probe_integral_direct,
-                                   validate_kernel_universal_property)
+                                   probe_integral_direct)
 from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.pairs import (compute_hearts, verified_twin, verify_cotorsion,
                                verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import SearchBounds, Subcategory
+
+from oracles import validate_kernel_universal_property
 
 
 def hm_of(hctx, src_ids, dst_ids, mor):

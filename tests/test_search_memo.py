@@ -8,14 +8,18 @@ bounds are part of every key, no caller can reach a shared payload,
 at most once (counted, not timed).
 """
 
+import gc
 import json
+import weakref
 from collections import Counter
+
+import pytest
 
 from cotorsionlab import fileformats as ff
 from cotorsionlab import subcat
-from cotorsionlab.fixtures import paper_context
+from cotorsionlab.fixtures import fixture_subcategories, paper_context
 from cotorsionlab.heartcat import check_abelian, check_integral, heart_context
-from cotorsionlab.pairs import compute_hearts
+from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import CategoryCtx, IndecId, Obj
 from cotorsionlab.subcat import (SearchBounds, Subcategory, find_left_approx,
                                  star_member)
@@ -154,3 +158,113 @@ def test_each_search_runs_once_per_context(fresh_census, monkeypatch):
         check_abelian(h)
     assert searches and scans
     assert max(searches.values()) == 1 and max(scans.values()) == 1
+
+
+@pytest.fixture
+def pushouts(monkeypatch):
+    """The (third, first, class) of every extension class realized from
+    now on, in any context."""
+    built = []
+    pushout = CategoryCtx._pushout_ses
+
+    def counted(self, *args):
+        built.append(args)
+        return pushout(self, *args)
+
+    monkeypatch.setattr(CategoryCtx, "_pushout_ses", counted)
+    return built
+
+
+def test_census_decisions_and_replays_build_no_pushout(fresh_census, pushouts):
+    """Approximation searches read closed-form middles, so census set-up,
+    every decision and every condition-(1) replay realize no extension
+    class."""
+    bounds = SearchBounds()
+    ctx, twins = fresh_census(bounds)
+    reports = []
+    for tp in twins:
+        h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+        subs = {"S": tp.s, "T": tp.t, "U": tp.u, "V": tp.v, "W": tp.w}
+        for check, decide in (("check-integral", check_integral),
+                              ("check-abelian", check_abelian)):
+            verdict = decide(h)
+            if verdict.fails:
+                reports.append(json.loads(ff.dumps_canonical(ff.report_payload(
+                    check, verdict.payload(), ctx.presentation, ctx.field, subs,
+                    bounds, 0, 0.0))))
+    assert pushouts == []
+    assert len(reports) == 18
+    for report in reports:
+        assert report["verdict"]["certificate"]["condition"] == 1
+        assert ff.replay_certificate(report)
+        assert pushouts == []
+
+
+def test_table_witnesses_are_realized_once_when_read(pushouts):
+    """A witness of a pair or heart table is realized on first read, by
+    `ses_for_class`: a second read is the same object as its entry."""
+    ctx = paper_context()
+    bounds = SearchBounds()
+    tp = verified_twin(ctx, fixture_subcategories(ctx, "ex-nonintegral"), bounds)
+    hearts = compute_hearts(ctx, tp, bounds)
+    assert pushouts == []
+    tables = [(tp.st.left, True), (tp.st.right, False), (tp.uv.left, True),
+              (tp.uv.right, False), (hearts.main.bplus_witness, True),
+              (hearts.main.bminus_witness, False)]
+    assert all(len(table) > 0 for table, _ in tables)
+    assert pushouts == []
+    for table, b_is_third in tables:
+        for x in table:
+            ses = table[x]
+            assert table[x] is ses
+            if b_is_third:
+                other = ctx.identify(ses.first)
+                entry = ctx.ses_for_class(Obj.of(x), other, {
+                    (0, j): 1 for j in range(len(other.ids))})
+            else:
+                other = ctx.identify(ses.third)
+                entry = ctx.ses_for_class(other, Obj.of(x), {
+                    (i, 0): 1 for i in range(len(other.ids))})
+            assert entry is ses
+    keys = [(third, first, tuple(sorted(cls.items())))
+            for third, first, cls in pushouts]
+    assert 0 < len(keys) == len(set(keys))
+
+
+def _decide_and_replay(p):
+    """Weak references to a new context and its opposite, after the twin
+    ex-nonabelian was verified, its hearts built and decided, its witness
+    tables and those of its D-heart read, and its fails replayed."""
+    ctx = paper_context(p)
+    bounds = SearchBounds()
+    subs = fixture_subcategories(ctx, "ex-nonabelian")
+    tp = verified_twin(ctx, subs, bounds)
+    h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+    for table in (tp.st.left, tp.uv.right, h.hearts.main.bplus_witness,
+                  h.dual().tp.uv.left, h.dual().hearts.main.bminus_witness):
+        for x in table:
+            assert table[x] is not None
+    replayed = 0
+    for check, decide in (("check-integral", check_integral),
+                          ("check-abelian", check_abelian)):
+        verdict = decide(h)
+        if verdict.fails:
+            report = json.loads(ff.dumps_canonical(ff.report_payload(
+                check, verdict.payload(), ctx.presentation, ctx.field, subs,
+                bounds, 0, 0.0)))
+            replayed += bool(ff.replay_certificate(report))
+    assert replayed == 1
+    return weakref.ref(ctx), weakref.ref(ctx.op)
+
+
+def test_contexts_are_freed_without_a_gc_pass():
+    """Nothing that a decision, a witness read or a replay leaves behind
+    makes a reference cycle through the context: with the cycle collector
+    off, the context and its opposite go with their last reference."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _decide_and_replay(2)
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

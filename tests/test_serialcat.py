@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from cotorsionlab.repcore import FieldChar, QuiverPresentation
 from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute, generate
 from cotorsionlab.subcat import Subcategory, find_left_approx, find_right_approx
 
-from oracles import (ext_nonzero_by_ses_search, hom_dim_enumerated,
+from oracles import (ext_nonzero_by_ses_search, extensions, hom_dim_enumerated,
                      multisets_by_product)
 
 # the 18 indecomposables of the bound A6 algebra, by interval
@@ -159,25 +159,25 @@ def test_identity_composition_is_neutral(ctx):
 
 
 def test_extensions_examples(ctx):
-    mids = ctx.extensions(IndecId(4, 5), IndecId(3, 3))
+    mids = extensions(ctx, IndecId(4, 5), IndecId(3, 3))
     assert mids == [Obj.of(IndecId(3, 3), IndecId(4, 5)), Obj.of(IndecId(3, 5))]
-    mids2 = ctx.extensions(IndecId(4, 4), IndecId(3, 3))
+    mids2 = extensions(ctx, IndecId(4, 4), IndecId(3, 3))
     assert Obj.of(IndecId(3, 4)) in mids2
     # no extension: split only
-    assert ctx.extensions(IndecId(3, 4), IndecId(3, 4)) == [
+    assert extensions(ctx, IndecId(3, 4), IndecId(3, 4)) == [
         Obj.of(IndecId(3, 4), IndecId(3, 4))]
 
 
 def test_extensions_overlapping_case(ctx):
     # Ext([4,5],[3,4]) glues to the rectangle middle [3,5] + [4,4]
-    mids = ctx.extensions(IndecId(4, 5), IndecId(3, 4))
+    mids = extensions(ctx, IndecId(4, 5), IndecId(3, 4))
     assert mids[1] == Obj.of(IndecId(3, 5), IndecId(4, 4))
 
 
 def test_extension_classes_over_f3():
     ctx3 = generate(QuiverPresentation(6, ((1, 5), (2, 6))), FieldChar(3))
     assert len(ctx3.indecs) == 18  # field-independent census
-    mids = ctx3.extensions(IndecId(4, 5), IndecId(3, 3))
+    mids = extensions(ctx3, IndecId(4, 5), IndecId(3, 3))
     assert len(mids) == 3  # one middle per class of a 1-dim Ext space
     assert mids[1] == mids[2] == Obj.of(IndecId(3, 5))
     assert ctx3.hom_dim(IndecId(3, 4), IndecId(3, 5)) == 1
@@ -190,6 +190,49 @@ def test_ses_for_class_produces_valid_conflations(ctx):
     assert ctx.identify(ses.third) == Obj.of(IndecId(4, 5))
     split = ctx.ses_for_class(Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3)), {})
     assert ctx.identify(split.middle) == Obj.of(IndecId(3, 3), IndecId(4, 5))
+
+
+# the A6 fixture algebra, the n=5 census algebra and hereditary A5; the
+# classes that are not a nested chain, where the split-off rule of
+# ones_class_middle is needed, occur on each of them
+CLOSED_FORM_ALGEBRAS = [(5, ((1, 3), (2, 5)), 2), (5, ((1, 3), (2, 5)), 3),
+                        (5, ((1, 3), (2, 5)), 5), (6, ((1, 5), (2, 6)), 2),
+                        (6, ((1, 5), (2, 6)), 3), (5, (), 3)]
+
+
+@pytest.mark.parametrize("n,relations,p", CLOSED_FORM_ALGEBRAS)
+def test_closed_form_middle_matches_the_pushout(n, relations, p):
+    """ones_class_middle equals the identified middle of the realized
+    all-ones class for every b and every subset of its Ext pool, with b
+    as the third term and as the first."""
+    ctx = generate(QuiverPresentation(n, relations), FieldChar(p))
+    checked = 0
+    for b in ctx.indecs:
+        for b_is_third in (True, False):
+            pool = [y for y in ctx.indecs
+                    if (ctx.ext_dim(b, y) if b_is_third else ctx.ext_dim(y, b))]
+            for k in range(len(pool) + 1):
+                for others in map(Obj, combinations(pool, k)):
+                    if b_is_third:
+                        ends = Obj.of(b), others
+                        coeffs = {(0, j): 1 for j in range(k)}
+                    else:
+                        ends = others, Obj.of(b)
+                        coeffs = {(i, 0): 1 for i in range(k)}
+                    realized = ctx.identify(ctx.ses_for_class(*ends, coeffs).middle)
+                    assert ctx.ones_class_middle(*ends) == realized, (b, ends)
+                    checked += 1
+    assert checked > 2 * len(ctx.indecs)
+
+
+def test_closed_form_middle_keeps_one_copy_of_a_repeated_summand(ctx):
+    b, y = IndecId(4, 5), IndecId(3, 3)
+    first = Obj.of(y, y)
+    realized = ctx.ses_for_class(Obj.of(b), first, {(0, 0): 1, (0, 1): 1})
+    assert ctx.ones_class_middle(Obj.of(b), first) == ctx.identify(realized.middle)
+    assert ctx.ones_class_middle(Obj.of(b), first) == Obj.of(y, IndecId(3, 5))
+    with pytest.raises(ValueError):
+        ctx.ones_class_middle(Obj.of(b), Obj.of(IndecId(4, 4)))  # Ext is 0
 
 
 def test_realize_identify_fixture_round_trips(ctx):

@@ -13,6 +13,8 @@ from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
                                  find_right_approx, inter, left_perp, oplus,
                                  right_perp, star_member, subcat_in_star)
 
+from oracles import extensions
+
 ALL_IDS = sorted(
     IndecId(a, b) for a in range(1, 7) for b in range(a, 7)
     if not ((a <= 1 and b >= 5) or (a <= 2 and b >= 6)))
@@ -87,7 +89,7 @@ def test_star_member_consistent_with_extensions(ctx):
         for y in ctx.indecs:
             if ctx.ext_dim(x, y) != 1:
                 continue
-            for mid in ctx.extensions(x, y):
+            for mid in extensions(ctx, x, y):
                 v = star_member(ctx, mid, sub({y}), sub({x}))
                 assert v.holds, (x, y, mid)
 
