@@ -47,7 +47,7 @@ def main() -> int:
         hearts = compute_hearts(ctx, tp, bounds)
         h = heart_context(ctx, tp, hearts, bounds)
         show("core W", tp.w.ids)
-        show("heart (mod core)", hearts.heart_surviving())
+        show("heart (mod core)", hearts.main.surviving_ids())
         show("heart of (S,T)", hearts.first.surviving_ids())
         show("heart of (U,V)", hearts.second.surviving_ids())
         vi = check_integral(h)

@@ -114,7 +114,7 @@ def _tables_payload(hearts) -> dict:
         "bplus": ids(hearts.main.plus_ids()),
         "bminus": ids(hearts.main.minus_ids()),
         "heart": ids(hearts.main.heart_ids()),
-        "heart_surviving": ids(hearts.heart_surviving()),
+        "heart_surviving": ids(hearts.main.surviving_ids()),
         "h1_surviving": ids(hearts.first.surviving_ids()),
         "h2_surviving": ids(hearts.second.surviving_ids()),
         "tainted": ids(hearts.main.tainted_ids()),
@@ -162,7 +162,7 @@ def cmd_replay(args) -> int:
     except ff.ReplayFailure as exc:
         sys.stdout.write(f"replay: MISMATCH\nreason: {exc}\n")
         return EXIT_REPLAY_MISMATCH
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         sys.stdout.write(f"replay: MISMATCH\nreason: malformed certificate "
                          f"({exc.__class__.__name__}: {exc})\n")
         return EXIT_REPLAY_MISMATCH

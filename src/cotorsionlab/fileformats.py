@@ -366,7 +366,7 @@ def ses_from_payload(pres, fieldc, payload: dict) -> rc.SES:
                             (third.dims[v], middle.dims[v]))
                          for v, c in enumerate(payload["p_comps"])])
         return rc.SES(i, p)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (LookupError, ValueError, TypeError) as exc:
         raise ReplayFailure(f"conflation payload invalid: {exc}") from exc
 
 

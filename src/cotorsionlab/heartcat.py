@@ -2,11 +2,18 @@
 procedures: integrality and abelianness.
 
 Morphisms of the heart are ordinary module morphisms between realized
-objects; the core ideal (maps factoring through add W) is an explicit
-subspace of each hom space, so "zero in the quotient" and epi/mono tests
-are finite linear algebra.  Epi/mono tests run two independent methods
-(cokernel/kernel criterion vs hom-functor injectivity) and must agree;
-a disagreement raises instead of producing a silent verdict.
+objects, and the core ideal (maps factoring through add W) has a closed
+form.  Hom between intervals is 0 or 1 (Auslander-Reiten-Smalo, ch. VI),
+so for a = sum x_i and b = sum y_j the hom basis of Hom(a, b) is the
+canonical maps x_i -> y_j, with 0/1 entries and disjoint supports: the
+coefficient of x_i -> y_j in a map is its entry at vertex x_i.b, row y_j,
+column x_i.  A composite x_i -> w -> y_j of canonical maps is
+compose_canonical(x_i, w, y_j) times x_i -> y_j, so the ideal is spanned
+by the canonical maps that factor so through some w in W, and the cells
+of the others are the coordinates of the quotient (quotient_cells).
+Epi/mono tests run two independent methods (cokernel/kernel criterion vs
+hom-functor injectivity) and must agree; a disagreement raises instead
+of producing a silent verdict.
 
 Verdict policy: bounded searches never upgrade to a universal Holds.
 Every Holds names a theorem route (star inclusion, zero heart, the
@@ -58,52 +65,28 @@ class HeartContext:
     def hom_basis(self, a: Obj, b: Obj) -> list[rc.Morphism]:
         return self.ctx.hom_basis(a, b)
 
-    def basis_matrix(self, a: Obj, b: Obj) -> np.ndarray:
-        """The hom basis of Hom(a, b), vectorized and stacked as columns."""
+    def quotient_cells(self, a: Obj, b: Obj) -> tuple[tuple[int, int, int], ...]:
+        """Coordinates of Hom(a, b) modulo the core ideal: the cell (vertex
+        index, row, column) of each canonical map x_i -> y_j that factors
+        through no w in W (see the module docstring)."""
         def build():
-            basis = self.hom_basis(a, b)
-            if basis:
-                return np.stack([h.vectorize() for h in basis], axis=1)
-            return pf.zeros(self._vec_len(a, b), 0)
-        return self.cached(("basis_matrix", a.ids, b.ids), build)
+            ctx = self.ctx
 
-    def _vec_len(self, a: Obj, b: Obj) -> int:
-        """Length of a vectorized map realize(a) -> realize(b)."""
-        return sum(x * y for x, y in zip(self.ctx.realize(a).dims,
-                                         self.ctx.realize(b).dims))
-
-    def w_ideal(self, a: Obj, b: Obj) -> np.ndarray:
-        """Reduced row basis of the core ideal inside Hom(a, b),
-        vectorized in the hom-space coordinates."""
-        def build():
-            rows = [f.then(g).vectorize()
-                    for w in map(Obj.of, sorted(self.w_ids))
-                    for f in self.hom_basis(a, w)
-                    for g in self.hom_basis(w, b)]
-            if not rows:
-                return pf.zeros(0, self._vec_len(a, b))
-            red, piv = pf.rref(np.stack(rows, axis=0), self.ctx.field.p)
-            return red[:len(piv), :]
-        return self.cached(("w_ideal", a.ids, b.ids), build)
-
-    def quotient_projector(self, a: Obj, b: Obj) -> np.ndarray:
-        """q with ker(q) = core ideal of Hom(a, b) (on vectorized maps)."""
-        def build():
-            ideal = self.w_ideal(a, b)
-            return pf.complement_projector(ideal.T, ideal.shape[1],
-                                           self.ctx.field.p)[0]
-        return self.cached(("quotient_projector", a.ids, b.ids), build)
+            def position(o: Obj, k: int, v: int) -> int:  # of o.ids[k] at v
+                return sum(z.a <= v <= z.b for z in o.ids[:k])
+            return tuple((x.b - 1, position(b, j, x.b), position(a, i, x.b))
+                         for i, x in enumerate(a.ids) for j, y in enumerate(b.ids)
+                         if ctx.hom_dim(x, y) and not any(
+                             ctx.hom_dim(x, w) and ctx.hom_dim(w, y)
+                             and ctx.compose_canonical(x, w, y) for w in self.w_ids))
+        return self.cached(("quotient_cells", a.ids, b.ids), build)
 
     def in_ideal(self, a: Obj, b: Obj, mor: rc.Morphism) -> bool:
         p = self.ctx.field.p
-        q = self.quotient_projector(a, b)
-        vec = mor.vectorize()
-        if vec.size == 0:
-            return True
-        return not np.any((q @ vec) % p)
+        return not any(mor.comps[v][r, c] % p for v, r, c in self.quotient_cells(a, b))
 
     def quotient_hom_dim(self, a: Obj, b: Obj) -> int:
-        return len(self.hom_basis(a, b)) - self.w_ideal(a, b).shape[0]
+        return len(self.quotient_cells(a, b))
 
     def dual(self) -> "HeartContext":
         """The heart of the D-twin ((DV,DU),(DT,DS)) over ctx.op, with core
@@ -171,19 +154,15 @@ class HeartContext:
 class HeartMorphism:
     """A morphism between heart objects, with its coset for free.
 
-    `mor` runs between the canonical realizations of src and dst; the
-    coset data (core-ideal subspace of the hom space) lives in the
-    HeartContext caches.  Its dual and its pushout are computed once, on
-    first use.
+    `mor` runs between the canonical realizations of src and dst; its
+    coset modulo the core ideal is read at HeartContext.quotient_cells.
+    Its dual and its pushout are computed once, on first use.
     """
 
     hctx: HeartContext
     src: Obj
     dst: Obj
     mor: rc.Morphism
-
-    def is_underline_zero(self) -> bool:
-        return self.hctx.in_ideal(self.src, self.dst, self.mor)
 
     def payload(self) -> dict:
         return {"src": str(self.src), "dst": str(self.dst),
@@ -210,10 +189,15 @@ class HeartMorphism:
 
 def heart_morphism_from_coeffs(hctx: HeartContext, a: Obj, b: Obj,
                                coeffs) -> HeartMorphism:
-    p = hctx.ctx.field.p
-    vec = (hctx.basis_matrix(a, b) @ (np.asarray(coeffs, dtype=np.int64) % p)) % p
-    return HeartMorphism(hctx, a, b, rc.devectorize(
-        vec, hctx.ctx.realize(a), hctx.ctx.realize(b)))
+    """sum coeffs[k] * hom_basis(a, b)[k]."""
+    basis = hctx.hom_basis(a, b)
+    if len(coeffs) != len(basis):
+        raise ValueError(f"Hom({a}, {b}) has dimension {len(basis)}, "
+                         f"got {len(coeffs)} coefficients")
+    zero = rc.zero_morphism(hctx.ctx.realize(a), hctx.ctx.realize(b))
+    comps = [sum((c * g.comps[v] for c, g in zip(coeffs, basis)), z) % hctx.ctx.field.p
+             for v, z in enumerate(zero.comps)]
+    return HeartMorphism(hctx, a, b, rc.Morphism._make(zero.source, zero.target, comps))
 
 
 # -- W-monic and W-epic ---------------------------------------------------
@@ -269,22 +253,22 @@ def _epi_by_criterion(hm: HeartMorphism) -> tuple[bool, Obj]:
 
 
 def _epi_by_hom_functor(hm: HeartMorphism) -> bool:
-    """underline(f) epi iff Hom(B, C)/W -> Hom(A, C)/W is injective for
-    every surviving heart indecomposable C."""
+    """underline(f) epi iff Hom(B, C)/W -> Hom(A, C)/W, g -> f.g, is
+    injective for every surviving heart indecomposable C.  g -> f.g sends
+    the core ideal to 0, so that holds iff the quotient cells of Hom(A, C)
+    read on f.g, over the whole basis of Hom(B, C), have rank
+    dim Hom(B, C)/W."""
     h = hm.hctx
-    p = h.ctx.field.p
-    for cid in h.surviving:
-        c = Obj.of(cid)
-        basis_bc = h.hom_basis(hm.dst, c)
-        if not basis_bc:
+    for c in map(Obj.of, h.surviving):
+        need = h.quotient_hom_dim(hm.dst, c)
+        if not need:
             continue
-        q_ac = h.quotient_projector(hm.src, c)
-        mat = np.stack([(q_ac @ hm.mor.then(g).vectorize()) % p
-                        for g in basis_bc], axis=1)
-        # the maps B -> C that f kills modulo the core must be in the core
-        ker = pf.nullspace(mat, p)
-        if ker.shape[1] and np.any((h.quotient_projector(hm.dst, c)
-                                    @ h.basis_matrix(hm.dst, c) @ ker) % p):
+        cells = h.quotient_cells(hm.src, c)
+        if len(cells) < need:
+            return False
+        fg = [hm.mor.then(g).comps for g in h.hom_basis(hm.dst, c)]
+        if pf.rank([[comps[v][r, k] for comps in fg] for v, r, k in cells],
+                   h.ctx.field.p) < need:
             return False
     return True
 
@@ -593,14 +577,12 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
     if not h.surviving:
         return Verdict(status="holds", route="zero-heart", bounds=bounds,
                        notes=("heart is the zero category",))
-    star1 = subcat_in_star(ctx, h.tp.u, h.tp.s, h.tp.t, bounds)
-    if star1.holds:
-        return Verdict(status="holds", route="star-inclusion U in S*T",
-                       witnesses=star1.witnesses, bounds=bounds)
-    star2 = subcat_in_star(ctx, h.tp.t, h.tp.u, h.tp.v, bounds)
-    if star2.holds:
-        return Verdict(status="holds", route="star-inclusion T in U*V",
-                       witnesses=star2.witnesses, bounds=bounds)
+    tp = h.tp
+    for name, x, y, z in (("U in S*T", tp.u, tp.s, tp.t), ("T in U*V", tp.t, tp.u, tp.v)):
+        star = subcat_in_star(ctx, x, y, z, bounds)
+        if star.holds:
+            return Verdict(status="holds", route=f"star-inclusion {name}",
+                           witnesses=star.witnesses, bounds=bounds)
     if _semisimple_shortcut(h):
         return Verdict(status="holds", route="one-simple-object heart "
                        "(abelian, hence integral)", bounds=bounds)

@@ -241,13 +241,6 @@ class HeartClasses:
     first: HeartTable    # heart of (S, T), core S cap T
     second: HeartTable   # heart of (U, V), core U cap V
 
-    @property
-    def w_ids(self) -> frozenset[IndecId]:
-        return self.twin.w.ids
-
-    def heart_surviving(self) -> frozenset[IndecId]:
-        return self.main.surviving_ids()
-
     def dual(self, twin: TwinPair, n: int) -> "HeartClasses":
         """Tables of the D-twin `twin`: D swaps the two single-pair hearts."""
         return HeartClasses(twin, self.bounds, self.main.dual(n),

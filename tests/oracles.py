@@ -5,8 +5,9 @@ found by enumerating all component tuples and testing naturality entry by
 entry; submodules by enumerating all per-vertex subspace tuples; Ext by
 searching all middle candidates for a non-split conflation.  The
 generic Fitting decomposition, the image factorization, the middles of
-every Ext class and the kernel universal-property probe are
-cross-checks that nothing in the solver calls.
+every Ext class, the core ideal by composition through every core object
+and the kernel universal-property probe are cross-checks that nothing in
+the solver calls.
 """
 
 from itertools import product
@@ -300,30 +301,67 @@ def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Modul
     return sorted(rec(m), key=lambda x: (x.total_dim, x.dims))
 
 
+def _basis_matrix(h, a: Obj, b: Obj) -> np.ndarray:
+    """The hom basis of Hom(a, b), vectorized and stacked as columns."""
+    basis = h.hom_basis(a, b)
+    if basis:
+        return np.stack([g.vectorize() for g in basis], axis=1)
+    return pf.zeros(sum(x * y for x, y in zip(h.ctx.realize(a).dims,
+                                             h.ctx.realize(b).dims)), 0)
+
+
+def core_ideal_by_composition(h, a: Obj, b: Obj) -> np.ndarray:
+    """Reduced row basis of the core ideal inside Hom(a, b), vectorized:
+    every basis map a -> w followed by every basis map w -> b, for each w in
+    the core, row reduced.  The module-arithmetic reference for
+    HeartContext.quotient_cells."""
+    rows = [f.then(g).vectorize() for w in map(Obj.of, sorted(h.w_ids))
+            for f in h.hom_basis(a, w) for g in h.hom_basis(w, b)]
+    if not rows:
+        return pf.zeros(0, _basis_matrix(h, a, b).shape[0])
+    red, piv = pf.rref(np.stack(rows, axis=0), h.ctx.field.p)
+    return red[:len(piv), :]
+
+
+def in_row_span(reduced: np.ndarray, vec: np.ndarray, p: int) -> bool:
+    """vec lies in the span of the rows of a reduced row echelon matrix."""
+    vec = vec % p
+    for row in reduced:
+        vec = (vec - vec[np.flatnonzero(row)[0]] * row) % p
+    return not np.any(vec)
+
+
+def in_core_ideal(h, a: Obj, b: Obj, mor: Morphism) -> bool:
+    """mor: realize(a) -> realize(b) factors through the core, by
+    core_ideal_by_composition."""
+    return in_row_span(core_ideal_by_composition(h, a, b), mor.vectorize(),
+                       h.ctx.field.p)
+
+
 def validate_kernel_universal_property(hm: HeartMorphism, kobj: Obj,
                                        kmor: HeartMorphism) -> bool:
     """Lemma-style probe: every underline map d: D -> A killed by f
     factors through the kernel, uniquely modulo the core ideal, for all
-    surviving heart indecomposables D."""
+    surviving heart indecomposables D.  The core ideal is
+    core_ideal_by_composition throughout."""
     h = hm.hctx
     p = h.ctx.field.p
     for did in h.surviving:
         d = Obj.of(did)
         basis_dk = h.hom_basis(d, kobj)
         mat_dk = (np.stack([g.then(kmor.mor).vectorize() for g in basis_dk], axis=1)
-                  if basis_dk else pf.zeros(h.basis_matrix(d, hm.src).shape[0], 0))
-        ideal_da = h.w_ideal(d, hm.src)
-        span = np.hstack([mat_dk, ideal_da.T]) if ideal_da.size else mat_dk
+                  if basis_dk else _basis_matrix(h, d, hm.src)[:, :0])
+        span = np.hstack([mat_dk, core_ideal_by_composition(h, d, hm.src).T])
         for coeffs in product(range(p), repeat=len(h.hom_basis(d, hm.src))):
             dm = heart_morphism_from_coeffs(h, d, hm.src, coeffs).mor
-            if not h.in_ideal(d, hm.dst, dm.then(hm.mor)):
+            if not in_core_ideal(h, d, hm.dst, dm.then(hm.mor)):
                 continue
             vec = dm.vectorize().reshape(-1, 1)
             if vec.size and pf.solve(span, vec, p) is None:
                 return False
-        # uniqueness: underline(kmor) is monic against D
-        ker = pf.nullspace((h.quotient_projector(d, hm.src) @ mat_dk) % p, p)
-        if ker.shape[1] and np.any((h.quotient_projector(d, kobj)
-                                    @ h.basis_matrix(d, kobj) @ ker) % p):
-            return False
+        # uniqueness: a map g: D -> K with g . kmor in the core ideal is in it
+        ideal_dk = core_ideal_by_composition(h, d, kobj)
+        for x in pf.nullspace(span, p)[:len(basis_dk)].T:
+            if not in_row_span(ideal_dk, _basis_matrix(h, d, kobj) @ x, p):
+                return False
     return True

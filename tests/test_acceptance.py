@@ -27,7 +27,8 @@ from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
 from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute
 from cotorsionlab.subcat import (SearchBounds, Subcategory, subcat_in_star)
 
-from oracles import decompose_generic, validate_kernel_universal_property
+from oracles import (core_ideal_by_composition, decompose_generic, in_row_span,
+                     validate_kernel_universal_property)
 
 
 def _pipeline(ctx, name, bounds):
@@ -71,7 +72,7 @@ def test_criterion_2_nonintegral_example(tmp_path, capsys):
     bounds = SearchBounds(mult=2, dim_cap=24)
     subs, tp, hearts, h = _pipeline(ctx, "ex-nonintegral", bounds)
     assert tp.verdict.holds
-    assert hearts.heart_surviving() == frozenset(
+    assert hearts.main.surviving_ids() == frozenset(
         {IndecId(3, 4), IndecId(3, 5), IndecId(4, 4)})
     verdict = check_integral(h)
     assert verdict.fails
@@ -104,7 +105,7 @@ def test_criterion_3_abelian_example(capsys):
     bounds = SearchBounds(mult=2, dim_cap=24)
     subs, tp, hearts, h = _pipeline(ctx, "ex-abelian", bounds)
     assert tp.verdict.holds
-    assert hearts.heart_surviving() == frozenset({IndecId(3, 5)})
+    assert hearts.main.surviving_ids() == frozenset({IndecId(3, 5)})
     va = check_abelian(h)
     assert va.holds and va.route  # definitive, with the route recorded
     assert "one-simple-object" in va.route
@@ -122,7 +123,7 @@ def test_criterion_4_nonabelian_example(capsys):
     subs, tp, hearts, h = _pipeline(ctx, "ex-nonabelian", bounds)
     assert tp.verdict.holds
     assert tp.w.ids == tp.u.ids == tp.t.ids
-    assert hearts.heart_surviving() == frozenset(
+    assert hearts.main.surviving_ids() == frozenset(
         {IndecId(3, 4), IndecId(3, 5), IndecId(4, 4), IndecId(4, 5),
          IndecId(5, 5)})
     assert hearts.first.surviving_ids() == frozenset(
@@ -154,7 +155,7 @@ def test_criterion_5_zero_heart_control(capsys):
     tp = verify_twin(ctx, cp, cp)
     assert tp.verdict.holds
     hearts = compute_hearts(ctx, tp, bounds)
-    assert hearts.heart_surviving() == frozenset()
+    assert hearts.main.surviving_ids() == frozenset()
     h = heart_context(ctx, tp, hearts, bounds)
     vi, va = check_integral(h), check_abelian(h)
     assert vi.holds and vi.route == "zero-heart"
@@ -233,8 +234,12 @@ def test_criterion_6d_cross_method_agreement(suite_setups, capsys):
         for a in objs:
             for b in objs:
                 basis = h.hom_basis(a, b)
+                ideal = core_ideal_by_composition(h, a, b)
+                assert h.quotient_hom_dim(a, b) == len(basis) - len(ideal)
                 for coeffs in product(range(2), repeat=len(basis)):
                     hm = heart_morphism_from_coeffs(h, a, b, coeffs)
+                    assert h.in_ideal(a, b, hm.mor) == in_row_span(
+                        ideal, hm.mor.vectorize(), ctx.field.p), (name, a, b, coeffs)
                     is_epi_in_heart(hm)    # raises on method disagreement
                     is_mono_in_heart(hm)
                     n += 1

@@ -398,6 +398,15 @@ def _without_i_comps():
     return data
 
 
+def _with_conflation_array(key, change):
+    """The stored non-integral report with change(list) applied to one
+    array of its conflation payload."""
+    data = ff.read_json(FIXDIR / "ex-nonintegral.integral-report.json")
+    conflation = data["verdict"]["certificate"]["conflation"]
+    conflation[key] = change(conflation[key])
+    return data
+
+
 def _with_certificate(change):
     """The stored non-integral report with change(certificate) replacing
     its certificate."""
@@ -419,18 +428,28 @@ def _with_certificate(change):
     (lambda: _with_certificate(lambda c: {**c, "heart_witnesses": []}),
      "malformed certificate"),
     (lambda: _with_certificate(lambda c: {**ff.dual_certificate(c), "z": 5}),
-     "malformed certificate")],
+     "malformed certificate"),
+    (lambda: _with_conflation_array("i_comps", lambda a: a[:-1]),
+     "conflation payload invalid"),
+    (lambda: _with_conflation_array("i_comps", lambda a: a + a[-1:]),
+     "conflation payload invalid"),
+    (lambda: _with_conflation_array("first_maps", lambda a: a[:-1]),
+     "conflation payload invalid"),
+    (lambda: _with_conflation_array("middle_dims", lambda a: a[:-1]),
+     "conflation payload invalid")],
     ids=["missing-i-comps", "verdict-list", "certificate-list", "z-int",
          "offender-int", "conflation-term-int", "heart-witnesses-list",
-         "dual-z-int"])
+         "dual-z-int", "i-comps-short", "i-comps-long", "first-maps-short",
+         "middle-dims-short"])
 def test_replay_rejects_structurally_broken_reports(broken, reason, tmp_path,
                                                     capsys):
     bad = tmp_path / "broken.json"
     ff.write_json(bad, broken())
     assert main(["replay", str(bad)]) == 4
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "replay: MISMATCH" in out
     assert reason in out
+    assert "Traceback" not in out + err
     assert main(["replay", str(tmp_path / "missing.json")]) == 2
 
 
@@ -457,6 +476,16 @@ def test_replay_of_probe_certificate(tmp_path, capsys):
           "--report", str(report)])
     capsys.readouterr()
     assert main(["replay", str(report)]) == 0
+    # square maps with a vertex component too few or too many
+    for key, change in (("d_epi", lambda a: a[:-1]), ("leg_to_B", lambda a: a + a[-1:])):
+        data = ff.read_json(report)
+        comps = data["verdict"]["certificate"][key]["comps"]
+        data["verdict"]["certificate"][key]["comps"] = change(comps)
+        bad = tmp_path / f"probe-{key}.json"
+        ff.write_json(bad, data)
+        capsys.readouterr()
+        assert main(["replay", str(bad)]) == 4, key
+        assert "replay: MISMATCH" in capsys.readouterr().out
 
 
 def test_regen_script_output_matches_repo_fixtures(tmp_path):

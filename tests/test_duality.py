@@ -124,8 +124,8 @@ def test_d_twin_verified_from_scratch_reaches_the_same_verdicts(ctx, bounds,
     tp = verify_twin(op, st, uv)
     assert tp.verdict.holds
     hearts = compute_hearts(op, tp, bounds)
-    assert hearts.heart_surviving() == {x.dual(n) for x in s.hctx.surviving}
-    assert hearts.heart_surviving() == set(s.hctx.dual().surviving)
+    assert hearts.main.surviving_ids() == {x.dual(n) for x in s.hctx.surviving}
+    assert hearts.main.surviving_ids() == set(s.hctx.dual().surviving)
     fresh = heart_context(op, tp, hearts, bounds)
     for check in (check_integral, check_abelian):
         got, want = check(fresh), check(s.hctx)

@@ -29,7 +29,7 @@ def test_heart_tables_and_verdicts_transfer(p):
         tp = verify_twin(ctx, st, uv)
         assert tp.verdict.holds, (p, name)
         hearts = compute_hearts(ctx, tp, bounds)
-        assert hearts.heart_surviving() == frozenset(EXPECTED_HEART[name]), \
+        assert hearts.main.surviving_ids() == frozenset(EXPECTED_HEART[name]), \
             (p, name)
         h = heart_context(ctx, tp, hearts, bounds)
         vi, va = check_integral(h), check_abelian(h)

@@ -20,7 +20,8 @@ from cotorsionlab.pairs import (compute_hearts, verified_twin, verify_cotorsion,
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import SearchBounds, Subcategory
 
-from oracles import validate_kernel_universal_property
+from oracles import (core_ideal_by_composition, in_core_ideal,
+                     validate_kernel_universal_property)
 
 
 def hm_of(hctx, src_ids, dst_ids, mor):
@@ -52,9 +53,10 @@ def test_w_ideal_examples(ctx, ex_nonintegral):
     h = ex_nonintegral.hctx
     w = sorted(h.w_ids)[0]
     wobj = Obj.of(w)
-    ideal = h.w_ideal(wobj, wobj)
+    ideal = core_ideal_by_composition(h, wobj, wobj)
     idvec = rc.identity(ctx.realize(wobj)).vectorize()
     assert pf.solve(ideal.T, idvec.reshape(-1, 1), 2) is not None
+    assert h.in_ideal(wobj, wobj, rc.identity(ctx.realize(wobj)))
     # a surviving heart object has no identity in the ideal
     x = Obj.of(sorted(h.surviving)[0])
     assert not h.in_ideal(x, x, rc.identity(ctx.realize(x)))
@@ -68,7 +70,8 @@ def test_w_ideal_with_empty_core_is_zero(ctx, bounds):
     h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
     h.w_ids = frozenset()  # simulate an empty core for the ideal only
     a, b = Obj.of(IndecId(3, 4)), Obj.of(IndecId(3, 5))
-    assert h.w_ideal(a, b).shape[0] == 0
+    assert core_ideal_by_composition(h, a, b).shape[0] == 0
+    assert h.quotient_hom_dim(a, b) == ctx.hom_dim(IndecId(3, 4), IndecId(3, 5)) == 1
 
 
 def test_w_ideal_against_single_cover_oracle(ctx, ex_nonintegral):
@@ -84,7 +87,8 @@ def test_w_ideal_against_single_cover_oracle(ctx, ex_nonintegral):
                 for g in rc.hom_space(wmod, ctx.realize(b)):
                     rows.append(f.then(g).vectorize())
             brute = pf.rank(np.stack(rows, axis=0), 2) if rows else 0
-            assert h.w_ideal(a, b).shape[0] == brute
+            assert core_ideal_by_composition(h, a, b).shape[0] == brute
+            assert h.quotient_hom_dim(a, b) == ctx.hom_dim(x, y) - brute
 
 
 def test_quotient_dims_of_ex_nonabelian_match_full_quotient(ex_nonabelian):
@@ -95,7 +99,7 @@ def test_quotient_dims_of_ex_nonabelian_match_full_quotient(ex_nonabelian):
     for x in sorted(h.surviving):
         for y in sorted(h.surviving):
             a, b = Obj.of(x), Obj.of(y)
-            expect = ctx.hom_dim(x, y) - h.w_ideal(a, b).shape[0]
+            expect = ctx.hom_dim(x, y) - core_ideal_by_composition(h, a, b).shape[0]
             assert h.quotient_hom_dim(a, b) == expect
     assert h.quotient_hom_dim(Obj.of(IndecId(3, 5)), Obj.of(IndecId(3, 5))) == 1
 
@@ -135,9 +139,13 @@ def assert_core_ideal_closed_form(h, a, b):
                    and ctx.compose_canonical(x, w, y) == 1 for w in h.w_ids)
     rows = sorted(_canonical_maps(h, a, b, through_core),
                   key=lambda r: int(np.flatnonzero(r)[0]))
-    ideal = h.w_ideal(a, b)
+    ideal = core_ideal_by_composition(h, a, b)
     assert np.array_equal(ideal, np.array(rows, dtype=np.int64).reshape(
         len(rows), ideal.shape[1]))
+    # the quotient cells read the coefficients of the basis maps outside it
+    assert h.quotient_hom_dim(a, b) == len(basis) - len(rows)
+    for m in h.hom_basis(a, b):
+        assert h.in_ideal(a, b, m) == in_core_ideal(h, a, b, m)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -159,6 +167,44 @@ def test_core_ideal_has_the_closed_form(p, bounds):
             pairs += [(a, b) for a in doubles for b in singles]
         for a, b in pairs:
             assert_core_ideal_closed_form(h, a, b)
+
+
+def test_quotient_cells_do_no_module_arithmetic(bounds, monkeypatch):
+    # the cells come from the closed-form Hom table and compose_canonical,
+    # and a map is tested by reading entries: no elimination, no hom space
+    ctx = paper_context(3)
+    tp = verified_twin(ctx, fixture_subcategories(ctx, "ex-nonintegral"), bounds)
+    h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
+    objs = [Obj.of(x) for x in ctx.indecs] + [
+        Obj(xy) for xy in combinations_with_replacement(h.surviving, 2)]
+    maps = [(a, b, f) for a in objs for b in objs for f in h.hom_basis(a, b)]
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+    for name, fn in vars(pf).items():
+        if callable(fn) and getattr(fn, "__module__", None) == pf.__name__:
+            monkeypatch.setattr(pf, name, counting(name, fn))
+    monkeypatch.setattr(rc, "hom_space", counting("hom_space", rc.hom_space))
+    dims = {(a, b): h.quotient_hom_dim(a, b) for a in objs for b in objs}
+    cells = {(a, b): h.quotient_cells(a, b) for a in objs for b in objs}
+    in_ideal = [h.in_ideal(a, b, f) for a, b, f in maps]
+    assert calls == []
+    assert sum(dims.values()) == sum(map(len, cells.values())) > 0
+    assert any(in_ideal) and not all(in_ideal)
+
+
+def test_coefficients_must_match_the_hom_dimension(ex_nonintegral):
+    h = ex_nonintegral.hctx
+    a, b = Obj.of(IndecId(3, 4)), Obj.of(IndecId(3, 5), IndecId(4, 4))
+    dim = len(h.hom_basis(a, b))
+    assert heart_morphism_from_coeffs(h, a, b, [1] * dim).mor.comps
+    for wrong in ([1] * (dim - 1), [1] * (dim + 1)):
+        with pytest.raises(ValueError, match="dimension"):
+            heart_morphism_from_coeffs(h, a, b, wrong)
 
 
 # ---- core-monic / core-epic -------------------------------------------------
@@ -243,7 +289,7 @@ def test_kernel_of_identity_is_zero_modulo_core(ex_nonintegral):
     kobj, kmor, notes = kernel_in_heart(hm)
     assert not notes
     assert all(i in h.w_ids for i in kobj.ids)  # zero in the quotient
-    assert kmor.is_underline_zero()
+    assert h.in_ideal(kmor.src, kmor.dst, kmor.mor)
 
 
 def test_kernel_of_zero_map_is_the_source(ex_nonintegral):

@@ -85,7 +85,7 @@ def test_core_identities_on_all_fixtures(setups):
 def test_heart_tables_match_expected_sets(setups):
     for name, s in setups.items():
         expected = frozenset(EXPECTED_HEART[name])
-        assert s.hearts.heart_surviving() == expected, name
+        assert s.hearts.main.surviving_ids() == expected, name
         assert not s.hearts.main.tainted_ids(), name
 
 
@@ -136,7 +136,7 @@ def test_zero_heart_control_minus_class_is_projectives(ctx, bounds):
     tp = verify_twin(ctx, cp, cp)
     hearts = compute_hearts(ctx, tp, bounds)
     assert hearts.main.minus_ids() == proj.ids
-    assert hearts.heart_surviving() == frozenset()
+    assert hearts.main.surviving_ids() == frozenset()
 
 
 def test_verified_pairs_sit_inside_their_perps(ctx, setups):
