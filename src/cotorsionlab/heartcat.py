@@ -34,7 +34,7 @@ from . import primefield as pf
 from . import repcore as rc
 from .fileformats import dual_certificate
 from .pairs import HeartClasses, TwinPair
-from .serialcat import CategoryCtx, Obj
+from .serialcat import CategoryCtx, Obj, basis_position
 from .subcat import (SearchBounds, Subcategory, Verdict, _first_split,
                      ses_payload, subcat_in_star)
 
@@ -65,25 +65,26 @@ class HeartContext:
     def hom_basis(self, a: Obj, b: Obj) -> list[rc.Morphism]:
         return self.ctx.hom_basis(a, b)
 
-    def quotient_cells(self, a: Obj, b: Obj) -> tuple[tuple[int, int, int], ...]:
-        """Coordinates of Hom(a, b) modulo the core ideal: the cell (vertex
-        index, row, column) of each canonical map x_i -> y_j that factors
-        through no w in W (see the module docstring)."""
+    def quotient_cells(self, a: Obj, b: Obj) -> np.ndarray:
+        """Coordinates of Hom(a, b) modulo the core ideal: one (row, column)
+        cell of the block matrix per canonical map x_i -> y_j that factors
+        through no w in W, its entry at vertex x_i.b (see the module
+        docstring).  A read-only array of shape (cells, 2)."""
         def build():
             ctx = self.ctx
-
-            def position(o: Obj, k: int, v: int) -> int:  # of o.ids[k] at v
-                return sum(z.a <= v <= z.b for z in o.ids[:k])
-            return tuple((x.b - 1, position(b, j, x.b), position(a, i, x.b))
-                         for i, x in enumerate(a.ids) for j, y in enumerate(b.ids)
-                         if ctx.hom_dim(x, y) and not any(
-                             ctx.hom_dim(x, w) and ctx.hom_dim(w, y)
-                             and ctx.compose_canonical(x, w, y) for w in self.w_ids))
+            pairs = [(basis_position(b, j, x.b), basis_position(a, i, x.b))
+                     for i, x in enumerate(a.ids) for j, y in enumerate(b.ids)
+                     if ctx.hom_dim(x, y) and not any(
+                         ctx.hom_dim(x, w) and ctx.hom_dim(w, y)
+                         and ctx.compose_canonical(x, w, y) for w in self.w_ids)]
+            cells = np.array(pairs if pairs else np.zeros((0, 2)), dtype=np.intp)
+            cells.flags.writeable = False
+            return cells
         return self.cached(("quotient_cells", a.ids, b.ids), build)
 
     def in_ideal(self, a: Obj, b: Obj, mor: rc.Morphism) -> bool:
-        p = self.ctx.field.p
-        return not any(mor.comps[v][r, c] % p for v, r, c in self.quotient_cells(a, b))
+        rows, cols = self.quotient_cells(a, b).T
+        return not mor.block[rows, cols].any()
 
     def quotient_hom_dim(self, a: Obj, b: Obj) -> int:
         return len(self.quotient_cells(a, b))
@@ -144,10 +145,16 @@ class HeartContext:
             tgt_basis = self.hom_basis(dst, wobj)
             if not tgt_basis:
                 return False
-            mat = np.stack([mor.then(g).vectorize() for g in tgt_basis], axis=1)
-            if pf.rank(mat, p) < src_dim:
+            if pf.rank(_composites(mor, tgt_basis), p) < src_dim:
                 return False
         return True
+
+
+def _composites(f: rc.Morphism, maps) -> np.ndarray:
+    """The block matrices of f followed by each of maps, one row each.  The
+    entries outside the vertex blocks are zero in every row, so the rank is
+    that of the vectorized composites."""
+    return (np.stack([g.block for g in maps]) @ f.block).reshape(len(maps), -1)
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,10 @@ def heart_morphism_from_coeffs(hctx: HeartContext, a: Obj, b: Obj,
     if len(coeffs) != len(basis):
         raise ValueError(f"Hom({a}, {b}) has dimension {len(basis)}, "
                          f"got {len(coeffs)} coefficients")
-    zero = rc.zero_morphism(hctx.ctx.realize(a), hctx.ctx.realize(b))
-    comps = [sum((c * g.comps[v] for c, g in zip(coeffs, basis)), z) % hctx.ctx.field.p
-             for v, z in enumerate(zero.comps)]
-    return HeartMorphism(hctx, a, b, rc.Morphism._make(zero.source, zero.target, comps))
+    src, dst = hctx.ctx.realize(a), hctx.ctx.realize(b)
+    block = sum((c * g.block for c, g in zip(coeffs, basis)),
+                pf.zeros(dst.total_dim, src.total_dim)) % hctx.ctx.field.p
+    return HeartMorphism(hctx, a, b, rc.Morphism._make(src, dst, block))
 
 
 # -- W-monic and W-epic ---------------------------------------------------
@@ -214,8 +221,7 @@ def is_w_monic(ctx: CategoryCtx, f: rc.Morphism, w: Subcategory) -> bool:
         tgt_basis = rc.hom_space(f.target, wmod)
         if not tgt_basis:
             return False
-        mat = np.stack([f.then(h).vectorize() for h in tgt_basis], axis=1)
-        if pf.rank(mat, p) < src_dim:
+        if pf.rank(_composites(f, tgt_basis), p) < src_dim:
             return False
     return True
 
@@ -239,9 +245,10 @@ def _combined_inflation(h: HeartContext, hm: HeartMorphism) -> rc.Morphism:
 
 
 def _first_leg(q: rc.Morphism, first: rc.Module) -> rc.Morphism:
-    """q on `first`, the first summand of its source: a column slice, copied."""
-    return rc.Morphism._make(first, q.target,
-                             [c[:, :d].copy() for c, d in zip(q.comps, first.dims)])
+    """q on `first`, the first summand of its source: its columns there."""
+    rest = tuple(d - e for d, e in zip(q.source.dims, first.dims))
+    cols = rc.layout(first.presentation.n, [first.dims, rest])[1][0]
+    return rc.Morphism._make(first, q.target, q.block[:, cols])
 
 
 def _epi_by_criterion(hm: HeartMorphism) -> tuple[bool, Obj]:
@@ -266,9 +273,8 @@ def _epi_by_hom_functor(hm: HeartMorphism) -> bool:
         cells = h.quotient_cells(hm.src, c)
         if len(cells) < need:
             return False
-        fg = [hm.mor.then(g).comps for g in h.hom_basis(hm.dst, c)]
-        if pf.rank([[comps[v][r, k] for comps in fg] for v, r, k in cells],
-                   h.ctx.field.p) < need:
+        fg = np.stack([g.block for g in h.hom_basis(hm.dst, c)]) @ hm.mor.block
+        if pf.rank(fg[:, cells[:, 0], cells[:, 1]], h.ctx.field.p) < need:
             return False
     return True
 
@@ -803,10 +809,10 @@ def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
                         if notes:
                             continue
                         # the first row block of kmor . fwd: K -> B + C
+                        rows = rc.layout(ctx.presentation.n, (m.dims for m in parts))[1][0]
                         leg = HeartMorphism(h, kobj, bobj, rc.Morphism._make(
                             kmor.mor.source, parts[0],
-                            [c[:d] for c, d in zip(kmor.mor.then(fwd).comps,
-                                                   parts[0].dims)]))
+                            kmor.mor.then(fwd).block[rows]))
                         if not is_epi_in_heart(leg):
                             cert = {
                                 "kind": "non_integral_square",

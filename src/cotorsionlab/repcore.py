@@ -1,14 +1,18 @@
 """Exact representation arithmetic for a bound linear quiver over F_p.
 
 The quiver has vertices 1..n and arrows v+1 -> v.  A relation (a, b) says
-the composite of arrows from vertex b down to vertex a is zero.  Modules
-store one matrix per arrow; morphisms one matrix per vertex.  Everything
-is immutable after construction and validated eagerly.
+the composite of arrows from vertex b down to vertex a is zero.  A module
+stores its arrows, and a morphism its components, as one block matrix
+over the total spaces, so each operation is a few numpy calls on one
+matrix instead of one or more per vertex.  Everything is read-only after
+construction and validated eagerly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,37 +87,86 @@ class QuiverPresentation:
         return QuiverPresentation(n, tuple((n + 1 - b, n + 1 - a) for a, b in self.relations))
 
 
-class Module:
-    """A representation: dims[v] per vertex, one matrix per arrow v+1 -> v.
+def _offsets(dims) -> tuple[int, ...]:
+    return (0, *accumulate(dims))
 
-    ``dims`` is indexed 0..n-1 for vertices 1..n; ``maps[i]`` has shape
-    (dims[i], dims[i+1]).
+
+def _reversal(m: "Module") -> np.ndarray:
+    """Positions in m's basis of the basis of D(m): the vertex blocks in
+    reverse order, each kept in its own order."""
+    d = np.array(m.dims[::-1], dtype=np.int64)
+    starts = np.array(m.offsets[-2::-1]) - (np.cumsum(d) - d)
+    return np.repeat(starts, d) + np.arange(m.total_dim)
+
+
+def _vertex_dims(m: "Module", cols: np.ndarray) -> list[int]:
+    """The dimension vector of a basis given as the columns of cols, a
+    matrix on m's basis whose every column lives at one vertex."""
+    at = cols.argmax(axis=0) if cols.shape[1] else np.zeros(0, dtype=np.int64)
+    return np.bincount(np.searchsorted(m.offsets, at, side="right") - 1,
+                       minlength=m.presentation.n).tolist()
+
+
+class Module:
+    """A representation: dims[v] per vertex and its arrows as one block
+    matrix over the total space.
+
+    The basis of the total space is ordered by (vertex, index); ``dims``
+    and ``offsets`` are indexed 0..n-1 for vertices 1..n.  ``block`` is
+    zero outside the (i, i+1) blocks, which hold the arrow maps i+2 -> i+1;
+    ``maps[i]``, of shape (dims[i], dims[i+1]), is a view of that block,
+    made on first read and kept.
     """
 
-    __slots__ = ("presentation", "field", "dims", "maps", "_key")
+    __slots__ = ("presentation", "field", "dims", "offsets", "block", "_key", "_maps")
 
     def __init__(self, presentation: QuiverPresentation, fieldc: FieldChar,
                  dims, maps, validate: bool = True):
-        self.presentation = presentation
-        self.field = fieldc
-        self.dims = tuple(int(d) for d in dims)
-        p = fieldc.p
-        if len(self.dims) != presentation.n:
+        dims = tuple(int(d) for d in dims)
+        if len(dims) != presentation.n:
             raise ValueError("dimension vector has wrong length")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise ValueError("dimensions must be nonnegative")
-        mats = []
+        o = _offsets(dims)
+        block = pf.zeros(o[-1], o[-1])
         for i in range(presentation.n - 1):
-            m = pf.asmat(maps[i], p)
-            if m.shape != (self.dims[i], self.dims[i + 1]):
+            m = pf.asmat(maps[i], fieldc.p)
+            if m.shape != (dims[i], dims[i + 1]):
                 raise ValueError(
                     f"arrow {i + 2}->{i + 1} matrix has shape {m.shape}, "
-                    f"expected {(self.dims[i], self.dims[i + 1])}"
+                    f"expected {(dims[i], dims[i + 1])}"
                 )
-            mats.append(m)
-        self.maps = tuple(mats)
+            block[o[i]:o[i + 1], o[i + 1]:o[i + 2]] = m
+        self._set(presentation, fieldc, dims, block)
         if validate:
             self._check_relations()
+
+    def _set(self, presentation, fieldc, dims, block) -> None:
+        self.presentation = presentation
+        self.field = fieldc
+        self.dims = dims
+        self.offsets = _offsets(dims)
+        block.flags.writeable = False
+        self.block = block
+
+    @staticmethod
+    def _make(presentation: QuiverPresentation, fieldc: FieldChar, dims,
+              block: np.ndarray) -> "Module":
+        """Trusted constructor: block must be reduced mod p, zero outside
+        the arrow blocks, and satisfy the relations."""
+        m = Module.__new__(Module)
+        m._set(presentation, fieldc, tuple(dims), block)
+        return m
+
+    @property
+    def maps(self) -> tuple[np.ndarray, ...]:
+        try:
+            return self._maps
+        except AttributeError:
+            o, b = self.offsets, self.block
+            self._maps = tuple(b[o[i]:o[i + 1], o[i + 1]:o[i + 2]]
+                               for i in range(self.presentation.n - 1))
+            return self._maps
 
     def _check_relations(self):
         p = self.field.p
@@ -126,46 +179,36 @@ class Module:
 
     @property
     def key(self) -> tuple:
-        """Content key: dims plus the arrow matrices as uint8 bytes (p <= 97
-        fits in a byte); computed once."""
+        """Content key: dims plus the entries of the arrow blocks as uint8
+        bytes (p <= 97 fits in a byte); computed once."""
         try:
             return self._key
         except AttributeError:
-            self._key = (self.dims, b"".join(m.astype(np.uint8).tobytes()
-                                             for m in self.maps))
+            v = np.repeat(np.arange(self.presentation.n), self.dims)
+            arrows = self.block[v[:, None] + 1 == v]
+            self._key = (self.dims, arrows.astype(np.uint8).tobytes())
             return self._key
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims)
+        return self.offsets[-1]
 
     @property
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def composite(self, top: int, bottom: int) -> np.ndarray:
-        """Matrix of the composite arrow map from vertex `top` to `bottom`."""
-        if not (1 <= bottom <= top <= self.presentation.n):
-            raise ValueError("need 1 <= bottom <= top <= n")
-        p = self.field.p
-        comp = pf.eye(self.dims[top - 1])
-        for v in range(top - 1, bottom - 1, -1):
-            comp = (self.maps[v - 1] @ comp) % p
-        return comp
-
     def dual(self) -> "Module":
         """D = Hom_k(-, k): a module over the opposite algebra."""
-        return Module(self.presentation.op, self.field, self.dims[::-1],
-                      [m.T for m in reversed(self.maps)], validate=False)
+        rev = _reversal(self)
+        return Module._make(self.presentation.op, self.field, self.dims[::-1],
+                            self.block.T[rev[:, None], rev])
 
     def __repr__(self):
         return f"Module(dims={self.dims})"
 
 
 def zero_module(presentation: QuiverPresentation, fieldc: FieldChar) -> Module:
-    dims = [0] * presentation.n
-    maps = [pf.zeros(0, 0) for _ in range(presentation.n - 1)]
-    return Module(presentation, fieldc, dims, maps, validate=False)
+    return Module._make(presentation, fieldc, [0] * presentation.n, pf.zeros(0, 0))
 
 
 def interval_module(presentation: QuiverPresentation, fieldc: FieldChar,
@@ -174,10 +217,9 @@ def interval_module(presentation: QuiverPresentation, fieldc: FieldChar,
     if not presentation.admissible(a, b):
         raise ValueError(f"interval [{a},{b}] is not admissible")
     dims = [1 if a <= v <= b else 0 for v in range(1, presentation.n + 1)]
-    maps = []
-    for i in range(presentation.n - 1):
-        maps.append(pf.eye(1) if (dims[i] and dims[i + 1]) else pf.zeros(dims[i], dims[i + 1]))
-    return Module(presentation, fieldc, dims, maps)
+    m = Module._make(presentation, fieldc, dims, np.eye(b - a + 1, k=1, dtype=np.int64))
+    m._check_relations()
+    return m
 
 
 def _same_context(x, y):
@@ -186,16 +228,18 @@ def _same_context(x, y):
 
 
 class Morphism:
-    """Vertex-wise matrices commuting with all arrow maps."""
+    """A module map as one block matrix from the source's total space to
+    the target's, zero outside the vertex blocks, commuting with the
+    arrows; ``comps[v]``, the component at vertex v+1, is a view of its
+    vertex block, made on first read and kept."""
 
-    __slots__ = ("source", "target", "comps")
+    __slots__ = ("source", "target", "block", "_comps")
 
     def __init__(self, source: Module, target: Module, comps, validate: bool = True):
         _same_context(source, target)
-        self.source = source
-        self.target = target
         p = source.field.p
-        mats = []
+        so, to = source.offsets, target.offsets
+        block = pf.zeros(to[-1], so[-1])
         for v in range(source.presentation.n):
             m = pf.asmat(comps[v], p)
             if m.shape != (target.dims[v], source.dims[v]):
@@ -203,28 +247,41 @@ class Morphism:
                     f"component at vertex {v + 1} has shape {m.shape}, "
                     f"expected {(target.dims[v], source.dims[v])}"
                 )
-            mats.append(m)
-        self.comps = tuple(mats)
+            block[to[v]:to[v + 1], so[v]:so[v + 1]] = m
+        self.source = source
+        self.target = target
+        block.flags.writeable = False
+        self.block = block
         if validate:
             self._check_naturality()
 
     def _check_naturality(self):
-        p = self.source.field.p
-        for i in range(self.source.presentation.n - 1):
-            lhs = (self.target.maps[i] @ self.comps[i + 1]) % p
-            rhs = (self.comps[i] @ self.source.maps[i]) % p
-            if lhs.size and np.any((lhs - rhs) % p):
-                raise ValueError(f"naturality fails at arrow {i + 2}->{i + 1}")
+        diff = (self.target.block @ self.block - self.block @ self.source.block) % self.p
+        bad = np.flatnonzero(diff.any(axis=1))
+        if bad.size:
+            i = bisect_right(self.target.offsets, int(bad[0])) - 1
+            raise ValueError(f"naturality fails at arrow {i + 2}->{i + 1}")
 
     @staticmethod
-    def _make(source: "Module", target: "Module", comps) -> "Morphism":
-        """Trusted constructor: comps must already be reduced mod p and
-        naturality must hold by construction."""
+    def _make(source: "Module", target: "Module", block: np.ndarray) -> "Morphism":
+        """Trusted constructor: block must be reduced mod p, zero outside
+        the vertex blocks, and natural by construction."""
         m = Morphism.__new__(Morphism)
         m.source = source
         m.target = target
-        m.comps = tuple(comps)
+        block.flags.writeable = False
+        m.block = block
         return m
+
+    @property
+    def comps(self) -> tuple[np.ndarray, ...]:
+        try:
+            return self._comps
+        except AttributeError:
+            so, to, b = self.source.offsets, self.target.offsets, self.block
+            self._comps = tuple(b[to[v]:to[v + 1], so[v]:so[v + 1]]
+                                for v in range(self.source.presentation.n))
+            return self._comps
 
     def validate(self) -> "Morphism":
         """Re-check shapes, reduction, and naturality; returns self."""
@@ -236,15 +293,14 @@ class Morphism:
         return self.source.field.p
 
     def is_zero(self) -> bool:
-        return all(not c.size or not np.any(c) for c in self.comps)
+        return not self.block.any()
 
+    # the rank of a block-diagonal matrix is the sum of the ranks of its blocks
     def is_injective(self) -> bool:
-        return all(pf.rank(c, self.p) == self.source.dims[v]
-                   for v, c in enumerate(self.comps))
+        return pf.rank(self.block, self.p) == self.source.total_dim
 
     def is_surjective(self) -> bool:
-        return all(pf.rank(c, self.p) == self.target.dims[v]
-                   for v, c in enumerate(self.comps))
+        return pf.rank(self.block, self.p) == self.target.total_dim
 
     def is_iso(self) -> bool:
         return self.source.dims == self.target.dims and self.is_injective()
@@ -253,135 +309,108 @@ class Morphism:
         """self followed by other (other @ self)."""
         if other.source is not self.target and other.source.dims != self.target.dims:
             raise ContextMismatchError("composition endpoints do not match")
-        p = self.p
-        comps = [(other.comps[v] @ self.comps[v]) % p
-                 for v in range(self.source.presentation.n)]
-        return Morphism._make(self.source, other.target, comps)
+        return Morphism._make(self.source, other.target,
+                              (other.block @ self.block) % self.p)
 
     def add(self, other: "Morphism") -> "Morphism":
-        p = self.p
-        comps = [(a + b) % p for a, b in zip(self.comps, other.comps)]
-        return Morphism._make(self.source, self.target, comps)
+        return Morphism._make(self.source, self.target, (self.block + other.block) % self.p)
 
     def scale(self, c: int) -> "Morphism":
-        p = self.p
-        comps = [(c * m) % p for m in self.comps]
-        return Morphism._make(self.source, self.target, comps)
+        return Morphism._make(self.source, self.target, (c * self.block) % self.p)
 
     def dual(self) -> "Morphism":
         """D(f): D(target) -> D(source), componentwise transposes."""
         return Morphism._make(self.target.dual(), self.source.dual(),
-                              [c.T for c in reversed(self.comps)])
+                              self.block.T[_reversal(self.source)[:, None],
+                                           _reversal(self.target)])
 
     def vectorize(self) -> np.ndarray:
-        if not self.comps:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([c.reshape(-1) for c in self.comps])
+        """The components flattened vertex by vertex, each row by row."""
+        return self.block[_vertex_cells(self.source, self.target)]
 
     def __repr__(self):
         return f"Morphism({self.source.dims} -> {self.target.dims})"
 
 
+def _vertex_cells(source: Module, target: Module) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the vertex blocks of a map source -> target, in
+    the order of `Morphism.vectorize`."""
+    r = np.array(target.dims, dtype=np.int64)
+    c = np.array(source.dims, dtype=np.int64)
+    sizes = r * c
+    v = np.repeat(np.arange(len(sizes)), sizes)
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return (np.array(target.offsets[:-1])[v] + k // c[v],
+            np.array(source.offsets[:-1])[v] + k % c[v])
+
+
 def identity(m: Module) -> Morphism:
-    return Morphism._make(m, m, [pf.eye(d) for d in m.dims])
+    return Morphism._make(m, m, pf.eye(m.total_dim))
 
 
 def zero_morphism(source: Module, target: Module) -> Morphism:
-    return Morphism._make(source, target,
-                          [pf.zeros(target.dims[v], source.dims[v])
-                           for v in range(source.presentation.n)])
-
-
-def devectorize(vec: np.ndarray, source: Module, target: Module) -> Morphism:
-    comps = []
-    ofs = 0
-    for v in range(source.presentation.n):
-        size = target.dims[v] * source.dims[v]
-        comps.append(vec[ofs:ofs + size].reshape(target.dims[v], source.dims[v]))
-        ofs += size
-    return Morphism._make(source, target, comps)
+    return Morphism._make(source, target, pf.zeros(target.total_dim, source.total_dim))
 
 
 def hom_space(m: Module, n: Module) -> list[Morphism]:
-    """Basis of Hom(m, n) from the nullspace of the naturality system.
+    """Basis of Hom(m, n) from the nullspace of the naturality system
+    n.block F = F m.block, with F zero outside the vertex blocks.
 
-    Unknowns are ordered vertex-major, row-major inside each component;
-    the basis order is the deterministic free-column order of the solver.
+    Unknowns are the entries of the vertex blocks in `vectorize` order:
+    vertex-major, row-major inside each component; the basis order is the
+    deterministic free-column order of the solver.
     """
     _same_context(m, n)
     p = m.field.p
-    nv = m.presentation.n
-    sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rows = []
-    for i in range(nv - 1):
-        # constraint: n.maps[i] @ F_{i+1} - F_i @ m.maps[i] = 0
-        r = n.dims[i] * m.dims[i + 1]
-        if r == 0:
-            continue
-        block = pf.zeros(r, total)
-        if sizes[i + 1]:
-            block[:, offsets[i + 1]:offsets[i + 2]] = np.kron(
-                n.maps[i], pf.eye(m.dims[i + 1]))
-        if sizes[i]:
-            block[:, offsets[i]:offsets[i + 1]] = (
-                block[:, offsets[i]:offsets[i + 1]]
-                - np.kron(pf.eye(n.dims[i]), m.maps[i].T))
-        rows.append(block % p)
-    if rows:
-        system = np.vstack(rows)
-        basis = pf.nullspace(system, p)
-    else:
-        basis = pf.eye(total)
-    return [devectorize(basis[:, j], m, n) for j in range(basis.shape[1])]
+    rows, cols = _vertex_cells(m, n)
+    # row-major vec(N F - F M) = (N (x) 1 - 1 (x) M^T) vec(F); keep the
+    # columns of the unknowns and the equations that can be nonzero
+    system = (np.kron(n.block, pf.eye(m.total_dim))
+              - np.kron(pf.eye(n.total_dim), m.block.T))[:, rows * m.total_dim + cols] % p
+    basis = pf.nullspace(system[system.any(axis=1)], p)
+    blocks = np.zeros((basis.shape[1], n.total_dim, m.total_dim), dtype=np.int64)
+    blocks[:, rows, cols] = basis.T
+    return [Morphism._make(m, n, b) for b in blocks]
 
 
 def hom_dim_brute(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
-def _restrict(m: Module, bases) -> Module | None:
-    """The subrepresentation of m spanned by one column basis per vertex,
-    its arrow maps solved from bases[i] X = maps[i] @ bases[i+1]; None if
-    the arrows leave the span."""
+def _restrict(m: Module, basis: np.ndarray, dims) -> Module | None:
+    """The subrepresentation of m spanned by the columns of basis, an
+    injective map into m's basis with dimension vector dims, laid out
+    vertex by vertex; its arrows solve basis X = m.block @ basis, which
+    has one solution or none.  None if the arrows leave the span."""
     p = m.field.p
-    maps = []
-    for i in range(m.presentation.n - 1):
-        sol = pf.solve(bases[i], (m.maps[i] @ bases[i + 1]) % p, p)
-        if sol is None:
-            return None
-        maps.append(sol)
-    return Module(m.presentation, m.field, [b.shape[1] for b in bases], maps,
-                  validate=False)
+    arrows = pf.solve(basis, (m.block @ basis) % p, p)
+    if arrows is None:
+        return None
+    return Module._make(m.presentation, m.field, dims, arrows)
 
+
+# Elimination never mixes the blocks of a block-diagonal matrix, and
+# reduced echelon forms and nullspace bases are canonical, so one
+# elimination on the block matrix gives, block by block, what one
+# elimination per vertex gives.
 
 def kernel(f: Morphism) -> tuple[Module, Morphism]:
     """Kernel submodule with its inclusion; arrow maps are restrictions."""
-    bases = [pf.nullspace(c, f.p) for c in f.comps]
-    k = _restrict(f.source, bases)
+    basis = pf.nullspace(f.block, f.p)
+    k = _restrict(f.source, basis, _vertex_dims(f.source, basis))
     if k is None:
         raise ArithmeticError("kernel is not a subrepresentation (bug)")
-    return k, Morphism(k, f.source, bases, validate=False)
+    return k, Morphism._make(k, f.source, basis)
 
 
 def cokernel(f: Morphism) -> tuple[Module, Morphism]:
     """Cokernel quotient with its projection."""
     p = f.p
-    pres = f.target.presentation
-    qs, sections = [], []
-    dims = []
-    for v in range(pres.n):
-        q, s = pf.complement_projector(f.comps[v], f.target.dims[v], p)
-        qs.append(q)
-        sections.append(s)
-        dims.append(q.shape[0])
-    maps = []
-    for i in range(pres.n - 1):
-        maps.append((qs[i] @ f.target.maps[i] @ sections[i + 1]) % p)
-    c = Module(pres, f.target.field, dims, maps, validate=False)
-    proj = Morphism(f.target, c, qs, validate=False)
-    return c, proj
+    t = f.target
+    q, section = pf.complement_projector(f.block, t.total_dim, p)
+    c = Module._make(t.presentation, t.field, _vertex_dims(t, section),
+                     (q @ t.block @ section) % p)
+    return c, Morphism._make(t, c, q)
 
 
 @dataclass(frozen=True)
@@ -424,23 +453,34 @@ class SES:
         return self.p.target
 
 
+def layout(n: int, part_dims) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """How direct_sum lays out parts with these dimension vectors (n
+    vertices): the dimension vector of the sum and, per part, the positions
+    of the part's basis in the sum's.  At each vertex the parts follow one
+    another."""
+    part_dims = list(part_dims)
+    places: list[list[int]] = [[] for _ in part_dims]
+    dims, pos = [], 0
+    for v in range(n):
+        start = pos
+        for place, d in zip(places, part_dims):
+            if d[v]:
+                place.extend(range(pos, pos + d[v]))
+                pos += d[v]
+        dims.append(pos - start)
+    return tuple(dims), [np.array(pl, dtype=np.intp) for pl in places]
+
+
 def direct_sum(modules: list[Module], presentation: QuiverPresentation,
                fieldc: FieldChar) -> Module:
-    """Block-diagonal direct sum.  A map out of (into) it restricts to a
-    summand as a column (row) slice of its components."""
-    n = presentation.n
-    dims = [sum(m.dims[v] for m in modules) for v in range(n)]
-    maps = []
-    for i in range(n - 1):
-        blocks = [m.maps[i] for m in modules]
-        mat = pf.zeros(dims[i], dims[i + 1])
-        ro = co = 0
-        for b in blocks:
-            mat[ro:ro + b.shape[0], co:co + b.shape[1]] = b
-            ro += b.shape[0]
-            co += b.shape[1]
-        maps.append(mat)
-    return Module(presentation, fieldc, dims, maps, validate=False)
+    """Direct sum, laid out as `layout` says.  A map out of (into) it
+    restricts to a summand as the columns (rows) of its block matrix at
+    the summand's positions."""
+    dims, places = layout(presentation.n, (m.dims for m in modules))
+    block = pf.zeros(sum(dims), sum(dims))
+    for m, at in zip(modules, places):
+        block[at[:, None], at] = m.block
+    return Module._make(presentation, fieldc, dims, block)
 
 
 def block_morphism(source: Module, target: Module, source_parts, target_parts,
@@ -449,15 +489,14 @@ def block_morphism(source: Module, target: Module, source_parts, target_parts,
     target_parts[j] is blocks[j, i]; absent blocks are zero.  Source and
     target are laid out as direct_sum lays out their parts."""
     n = source.presentation.n
-    rows = np.cumsum([[0] * n] + [m.dims for m in target_parts], axis=0)
-    cols = np.cumsum([[0] * n] + [m.dims for m in source_parts], axis=0)
-    if tuple(rows[-1]) != target.dims or tuple(cols[-1]) != source.dims:
+    row_dims, rows = layout(n, (m.dims for m in target_parts))
+    col_dims, cols = layout(n, (m.dims for m in source_parts))
+    if row_dims != target.dims or col_dims != source.dims:
         raise ValueError("parts do not add up to the source and target")
-    comps = [pf.zeros(target.dims[v], source.dims[v]) for v in range(n)]
+    mat = pf.zeros(target.total_dim, source.total_dim)
     for (j, i), f in blocks.items():
-        for v in range(n):
-            comps[v][rows[j, v]:rows[j + 1, v], cols[i, v]:cols[i + 1, v]] = f.comps[v]
-    return Morphism._make(source, target, comps)
+        mat[rows[j][:, None], cols[i]] = f.block
+    return Morphism._make(source, target, mat)
 
 
 def submodules(m: Module, dim_cap: int = 24):
@@ -470,14 +509,20 @@ def submodules(m: Module, dim_cap: int = 24):
         raise EnumerationRefusedError(m.total_dim, dim_cap)
     p = m.field.p
     n = m.presentation.n
+    o = m.offsets
 
     def build(v: int, chosen: list[np.ndarray]):
         # chosen holds bases for vertices v+1 .. n (in reverse order)
         if v == 0:
-            bases = list(reversed(chosen))
-            sub = _restrict(m, bases)
+            dims = [b.shape[1] for b in reversed(chosen)]
+            basis = pf.zeros(m.total_dim, sum(dims))
+            col = 0
+            for u, b in enumerate(reversed(chosen)):
+                basis[o[u]:o[u + 1], col:col + dims[u]] = b
+                col += dims[u]
+            sub = _restrict(m, basis, dims)
             if sub is not None:
-                yield sub, Morphism(sub, m, bases, validate=False)
+                yield sub, Morphism._make(sub, m, basis)
             return
         d = m.dims[v - 1]
         if v == n:
@@ -498,16 +543,23 @@ def submodules(m: Module, dim_cap: int = 24):
 
 
 def _composite_rank_table(m: Module) -> np.ndarray:
-    """ranks[u-1][w-1] = rank of the composite map M_u -> M_w for w <= u."""
+    """ranks[u-1][w-1] = rank of the composite map M_u -> M_w for w <= u.
+
+    The columns of m.block at vertex u are the arrow map u -> u-1 on m's
+    whole basis; each further product with m.block carries them one arrow
+    down, so the k-th power holds the composite u -> u-k in the rows of
+    u-k and zeros elsewhere.  Once a composite is zero, so are the rest."""
     p = m.field.p
     n = m.presentation.n
     ranks = np.zeros((n, n), dtype=np.int64)
     for u in range(1, n + 1):
-        comp = pf.eye(m.dims[u - 1])
         ranks[u - 1][u - 1] = m.dims[u - 1]
+        comp = m.block[:, m.offsets[u - 1]:m.offsets[u]]
         for w in range(u - 1, 0, -1):
-            comp = (m.maps[w - 1] @ comp) % p
             ranks[u - 1][w - 1] = pf.rank(comp, p)
+            if not ranks[u - 1][w - 1]:
+                break
+            comp = (m.block @ comp) % p
     return ranks
 
 
@@ -565,26 +617,28 @@ def _split_top_generator(m: Module) -> tuple[tuple[int, int], Morphism, Morphism
     summand it generates.  Returns (interval, incl, retraction)."""
     p = m.field.p
     n = m.presentation.n
+    # composites are carried down the arrows on m's whole basis, as in
+    # _composite_rank_table
     best = None  # (length, top_vertex)
     for top in range(1, n + 1):
         if m.dims[top - 1] == 0:
             continue
-        comp = pf.eye(m.dims[top - 1])
-        reach = 0
-        for w in range(top - 1, 0, -1):
-            nxt = (m.maps[w - 1] @ comp) % p
-            if not nxt.size or not np.any(nxt):
-                break
-            comp = nxt
+        comp, reach = m.block[:, m.offsets[top - 1]:m.offsets[top]], 0
+        while comp.any():
             reach += 1
+            comp = (m.block @ comp) % p
         cand = (reach + 1, -top)
         if best is None or cand > best:
             best = cand
     length, negtop = best
     top = -negtop
     bottom = top - length + 1
+    start = pf.zeros(m.total_dim, m.dims[top - 1])  # the basis at top
+    start[m.offsets[top - 1]:m.offsets[top]] = pf.eye(m.dims[top - 1])
+    comp = start
+    for _ in range(length - 1):
+        comp = (m.block @ comp) % p
     # lexicographically first vector with nonzero composite image at `bottom`
-    comp = m.composite(top, bottom)
     gen = None
     for v in pf.enumerate_vectors(m.dims[top - 1], p):
         if np.any((comp @ v) % p):
@@ -593,29 +647,27 @@ def _split_top_generator(m: Module) -> tuple[tuple[int, int], Morphism, Morphism
     if gen is None:
         raise ArithmeticError("no generator with claimed reach (bug)")
     piece = interval_module(m.presentation, m.field, bottom, top)
-    cols = []
-    cur = gen.reshape(-1, 1)
-    for v in range(top, bottom - 1, -1):
-        cols.append((v, cur))
-        if v > bottom:
-            cur = (m.maps[v - 2] @ cur) % p
-    comps = []
-    for v in range(1, n + 1):
-        found = [c for vv, c in cols if vv == v]
-        comps.append(found[0] if found else pf.zeros(m.dims[v - 1], 0))
-    incl = Morphism(piece, m, comps, validate=False)
-    # retraction exists because the generated uniserial has maximal length
+    # the generator and its images down to `bottom`: the column of vertex
+    # top - k is the k-th image
+    block = pf.zeros(m.total_dim, length)
+    cur = start @ gen
+    for k in range(length):
+        block[:, length - 1 - k] = cur
+        cur = (m.block @ cur) % p
+    incl = Morphism._make(piece, m, block)
+    # retraction exists because the generated uniserial has maximal length;
+    # the whole block matrices stand in for the vectorized maps, as the
+    # extra coordinates are zero in every column and in the right side
     basis = hom_space(m, piece)
     if basis:
-        mat = np.stack([incl.then(h).vectorize() for h in basis], axis=1)
-        target = identity(piece).vectorize().reshape(-1, 1)
-        coeff = pf.solve(mat % p, target % p, p)
+        mat = np.stack([incl.then(h).block.ravel() for h in basis], axis=1)
+        coeff = pf.solve(mat, pf.eye(length).reshape(-1, 1), p)
     else:
         coeff = None
     if coeff is None:
         raise ArithmeticError("maximal uniserial summand did not split (bug)")
-    basis_mat = np.stack([h.vectorize() for h in basis], axis=1)
-    retr = devectorize((basis_mat @ coeff[:, 0]) % p, m, piece)
+    retr = Morphism._make(m, piece, np.tensordot(
+        coeff[:, 0], np.stack([h.block for h in basis]), 1) % p)
     return (bottom, top), incl, retr
 
 
@@ -637,13 +689,10 @@ def decompose(m: Module) -> Decomposition:
         k, kincl = kernel(retr)
         # projection of sub onto the complement k:  id - incl.retr = kincl . pi
         ideal = identity(sub).add(retr.then(incl).scale(p - 1))
-        pcomps = []
-        for v in range(sub.presentation.n):
-            sol = pf.solve(kincl.comps[v], ideal.comps[v], p)
-            if sol is None:
-                raise ArithmeticError("complement projection failed (bug)")
-            pcomps.append(sol)
-        kproj = Morphism(sub, k, pcomps, validate=False)
+        sol = pf.solve(kincl.block, ideal.block, p)
+        if sol is None:
+            raise ArithmeticError("complement projection failed (bug)")
+        kproj = Morphism._make(sub, k, sol)
         rec(k, kincl.then(into_m), onto_sub.then(kproj))
 
     rec(m, identity(m), identity(m))

@@ -63,6 +63,14 @@ class IndecId:
         raise ValueError(f"cannot parse interval {text!r}")
 
 
+def basis_position(o: "Obj", k: int, v: int) -> int:
+    """The position of summand o.ids[k] at vertex v in the basis of
+    realize(o): vertex by vertex, and at each vertex the summands there in
+    order."""
+    below = sum(max(0, min(z.b, v - 1) - z.a + 1) for z in o.ids)
+    return below + sum(z.a <= v <= z.b for z in o.ids[:k])
+
+
 @dataclass(frozen=True, slots=True)
 class Obj:
     """Formal finite multiset of indecomposables; empty means zero object."""
@@ -74,13 +82,6 @@ class Obj:
 
     @staticmethod
     def of(*ids: IndecId) -> "Obj":
-        return Obj(tuple(ids))
-
-    @staticmethod
-    def from_multiset(counts: dict[tuple[int, int], int]) -> "Obj":
-        ids = []
-        for (a, b), c in sorted(counts.items()):
-            ids.extend([IndecId(a, b)] * c)
         return Obj(tuple(ids))
 
     @staticmethod
@@ -176,12 +177,13 @@ class CategoryCtx:
         return self._op
 
     def cached(self, key, build):
-        """The value cached under key, from build() on first use, with every
-        array it reaches made read-only.  Keys are tuples that start with
-        the name of what they cache; they live as long as the context."""
+        """The value cached under key, from build() on first use.  Keys are
+        tuples that start with the name of what they cache; they live as
+        long as the context.  Modules and morphisms are read-only from
+        construction, so a cached value is stored as it is."""
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = _frozen(build())
+            hit = self._cache[key] = build()
         return hit
 
     # -- censuses -------------------------------------------------------
@@ -260,18 +262,14 @@ class CategoryCtx:
         return 1 if z.a <= x.b else 0
 
     def canonical_hom(self, x: IndecId, y: IndecId) -> Morphism | None:
-        """Quotient to [y.a, x.b] followed by inclusion into y, or None."""
+        """Quotient to [y.a, x.b] followed by inclusion into y, or None:
+        a 1 from vertex v of x to vertex v of y for y.a <= v <= x.b.
+        Cached, and validated once when built."""
         if not self.hom_dim(x, y):
             return None
-        mx, my = self.realize_id(x), self.realize_id(y)
-        comps = []
-        for v in range(1, self.presentation.n + 1):
-            rows, cols = my.dims[v - 1], mx.dims[v - 1]
-            m = pf.zeros(rows, cols)
-            if rows and cols and y.a <= v <= x.b:
-                m[0, 0] = 1
-            comps.append(m)
-        return Morphism(mx, my, comps)
+        return self.cached(("canonical_hom", x, y), lambda: Morphism._make(
+            self.realize_id(x), self.realize_id(y),
+            np.eye(y.dim, x.dim, y.a - x.a, dtype=np.int64)).validate())
 
     # -- realization ----------------------------------------------------
 
@@ -302,57 +300,81 @@ class CategoryCtx:
             for (a, b) in counts:
                 if not self.presentation.admissible(a, b):
                     raise ValueError(f"module contains inadmissible interval [{a},{b}]")
-            return Obj.from_multiset(counts)
+            return self._obj(iv for iv, c in counts.items() for _ in range(c))
         return self.cached(("identify", m.key), build)
+
+    def _obj(self, intervals) -> Obj:
+        """The Obj of (a, b) intervals, made of this context's own ids, so
+        that cached objects share them."""
+        return Obj(tuple(self.indecs[self.index(IndecId(a, b))] for a, b in intervals))
 
     def canonical_iso_from(self, m: Module) -> tuple[Obj, Morphism, Morphism]:
         """(obj, iso: realize(obj) -> m, inverse iso).  The splitting is
-        cached by module content, its components packed as uint8 bytes; each
-        call rebuilds the isos onto the caller's own m."""
+        cached by module content, the two block matrices packed as uint8
+        bytes; each call rebuilds the isos onto the caller's own m."""
         self._check_module(m)
 
         def build():
             dec = rc.decompose(m)
-            obj = Obj(tuple(IndecId(a, b) for a, b in dec.intervals))
+            obj = self._obj(dec.intervals)
             canon = self.realize(obj)
             fwd = rc.block_morphism(canon, m, dec.pieces, [m],
                                     {(0, k): incl for k, incl in enumerate(dec.incls)})
             bwd = rc.block_morphism(m, canon, [m], dec.pieces,
                                     {(k, 0): proj for k, proj in enumerate(dec.projs)})
-            return obj, b"".join(c.astype(np.uint8).tobytes()
-                                 for c in fwd.comps + bwd.comps)
+            return obj, np.stack([fwd.block, bwd.block]).astype(np.uint8).tobytes()
 
         obj, packed = self.cached(("split", m.key), build)
         canon = self.realize(obj)
-        dims = m.dims * 2  # fwd then bwd; every component is square
-        flat = np.split(np.frombuffer(packed, np.uint8).astype(np.int64),
-                        np.cumsum([d * d for d in dims])[:-1])
-        comps = [c.reshape(d, d) for c, d in zip(flat, dims)]
-        n = len(m.dims)
-        return (obj, Morphism._make(canon, m, comps[:n]),
-                Morphism._make(m, canon, comps[n:]))
+        t = m.total_dim
+        fwd, bwd = np.frombuffer(packed, np.uint8).astype(np.int64).reshape(2, t, t)
+        return obj, Morphism._make(canon, m, fwd), Morphism._make(m, canon, bwd)
+
+    def _dual_order(self, o: Obj) -> np.ndarray:
+        """Positions in the basis of realize(o) of the basis of
+        realize(D o) over self.op: the vertices from n down to 1, and at
+        each the summands in the order of their duals.  Cached, read-only."""
+        def build():
+            n = self.presentation.n
+            blocks, start = [], 0
+            for v in range(1, n + 1):
+                here = [x for x in o.ids if x.a <= v <= x.b]
+                blocks.append([start + k for k in sorted(range(len(here)),
+                                                         key=lambda k: here[k].dual(n))])
+                start += len(here)
+            order = np.array([i for b in reversed(blocks) for i in b], dtype=np.intp)
+            order.flags.writeable = False
+            return order
+        return self.cached(("dual_order", o.ids), build)
 
     def dual_morphism(self, src: Obj, dst: Obj, mor: Morphism) -> Morphism:
         """D of mor: realize(src) -> realize(dst), conjugated by the
-        per-vertex summand permutation so that it runs exactly between the
-        canonical realizations of D(dst) and D(src) over self.op."""
+        summand permutation so that it runs exactly between the canonical
+        realizations of D(dst) and D(src) over self.op."""
         n = self.presentation.n
-
-        def order(o: Obj, v: int) -> list[int]:
-            # basis of realize(o) at v, in the summand order of realize(D o)
-            here = [x for x in o.ids if x.a <= v <= x.b]
-            return sorted(range(len(here)), key=lambda k: here[k].dual(n))
-
-        comps = [mor.comps[v - 1].T[np.ix_(order(src, v), order(dst, v))]
-                 for v in range(n, 0, -1)]
-        return Morphism._make(self.op.realize(dst.dual(n)),
-                              self.op.realize(src.dual(n)), comps)
+        return Morphism._make(self.op.realize(dst.dual(n)), self.op.realize(src.dual(n)),
+                              mor.block.T[self._dual_order(src)[:, None],
+                                          self._dual_order(dst)])
 
     # -- hom bases between canonical objects ----------------------------
 
     def hom_basis(self, src: Obj, dst: Obj) -> list[Morphism]:
-        return self.cached(("hom_basis", src.ids, dst.ids),
-                           lambda: rc.hom_space(self.realize(src), self.realize(dst)))
+        """The canonical maps x_i -> y_j with Hom nonzero, each placed in
+        its block of Hom(src, dst), ordered by the position of their entry
+        at vertex x_i.b in vectorized order (vertex, row of y_j, column of
+        x_i): the basis `rc.hom_space` finds, with no elimination."""
+        def build():
+            a, b = self.realize(src), self.realize(dst)
+            parts_a = [self.realize_id(x) for x in src.ids]
+            parts_b = [self.realize_id(y) for y in dst.ids]
+            found = sorted(
+                ((x.b, basis_position(dst, j, x.b), basis_position(src, i, x.b)), i, j)
+                for i, x in enumerate(src.ids) for j, y in enumerate(dst.ids)
+                if self.hom_dim(x, y))
+            return [rc.block_morphism(a, b, parts_a, parts_b,
+                                      {(j, i): self.canonical_hom(src.ids[i], dst.ids[j])})
+                    for _, i, j in found]
+        return self.cached(("hom_basis", src.ids, dst.ids), build)
 
     # -- extensions -----------------------------------------------------
 
@@ -420,16 +442,13 @@ class CategoryCtx:
             py, x_mod, py_parts, [self.realize_id(x) for x in third.ids],
             {(i, i): self.canonical_hom(ci, x)
              for i, (ci, x) in enumerate(zip(covers, third.ids))})
-        vcomps = []
-        for vtx in range(pres.n):
-            sol = pf.solve_left(q.comps[vtx], cover0.comps[vtx], p)
-            if sol is None:
-                raise ArithmeticError("pushout projection failed (bug)")
-            vcomps.append(sol)
-        v = Morphism(e_mod, x_mod, vcomps)
-        # u: first -> E is q on the columns past those of P
-        u = [c[:, d:] for c, d in zip(q.comps, pmod.dims)]
-        return SES(Morphism(y_mod, e_mod, u), v)
+        vblock = pf.solve_left(q.block, cover0.block, p)
+        if vblock is None:
+            raise ArithmeticError("pushout projection failed (bug)")
+        v = Morphism._make(e_mod, x_mod, vblock).validate()
+        # u: first -> E is q on the columns of the summand `first`
+        u = q.block[:, rc.layout(pres.n, [pmod.dims, y_mod.dims])[1][1]]
+        return SES(Morphism._make(y_mod, e_mod, u).validate(), v)
 
     def ones_class_middle(self, third: Obj, first: Obj) -> Obj:
         """The middle term of `ses_for_class(third, first, ...)` with every
@@ -475,22 +494,6 @@ class CategoryCtx:
         if top >= b.a:
             mids.append(IndecId(b.a, top))
         return Obj(tuple(map(back, mids)))
-
-
-def _frozen(value):
-    """value, with every numpy array it reaches made read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, (tuple, list)):
-        for v in value:
-            _frozen(v)
-    elif isinstance(value, Module):
-        _frozen(value.maps)
-    elif isinstance(value, Morphism):
-        _frozen((value.source, value.target, value.comps))
-    elif isinstance(value, SES):
-        _frozen((value.i, value.p))
-    return value
 
 
 def generate(presentation: QuiverPresentation, fieldc: FieldChar,

@@ -7,7 +7,9 @@ searching all middle candidates for a non-split conflation.  The
 generic Fitting decomposition, the image factorization, the middles of
 every Ext class, the core ideal by composition through every core object
 and the kernel universal-property probe are cross-checks that nothing in
-the solver calls.
+the solver calls.  The per-vertex module operations (`*_by_vertex`) are
+the references for repcore's block-matrix operations: one small matrix,
+and one elimination, per vertex or arrow.
 """
 
 from itertools import product
@@ -215,7 +217,7 @@ def image(f: Morphism) -> tuple[Module, Morphism, Morphism]:
     """Image factorization f = incl . epi through the image submodule."""
     p = f.p
     bases = [pf.column_space_basis(c, p) for c in f.comps]
-    img = rc._restrict(f.target, bases)
+    img = restrict_by_vertex(f.target, bases)
     if img is None:
         raise ArithmeticError("image is not a subrepresentation (bug)")
     incl = Morphism(img, f.target, bases, validate=False)
@@ -274,7 +276,7 @@ def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Modul
         for coeffs in cand_vectors:
             if not np.any(coeffs % p):
                 continue
-            e = Morphism._make(sub, sub, combine(tensors, coeffs))
+            e = Morphism(sub, sub, combine(tensors, coeffs), validate=False)
             split = _fitting_split(sub, e)
             if split is not None:
                 kincl, iincl = split
@@ -289,7 +291,7 @@ def decompose_generic(m: Module, end_cap: int = 12, seed: int = 0) -> list[Modul
                 if all(np.array_equal(c, np.eye(c.shape[0], dtype=np.int64))
                        for c in comps):
                     continue  # the identity splits nothing
-                e = Morphism._make(sub, sub, comps)
+                e = Morphism(sub, sub, comps, validate=False)
                 split = _fitting_split(sub, e)
                 if split is not None:
                     kincl, iincl = split
@@ -365,3 +367,87 @@ def validate_kernel_universal_property(hm: HeartMorphism, kobj: Obj,
             if not in_row_span(ideal_dk, _basis_matrix(h, d, kobj) @ x, p):
                 return False
     return True
+
+
+# -- per-vertex references for the block-matrix operations of repcore ------
+
+def restrict_by_vertex(m: Module, bases) -> Module | None:
+    """The subrepresentation of m spanned by one column basis per vertex,
+    its arrow maps solved from bases[i] X = maps[i] @ bases[i+1]; None if
+    the arrows leave the span."""
+    p = m.field.p
+    maps = []
+    for i in range(m.presentation.n - 1):
+        sol = pf.solve(bases[i], (m.maps[i] @ bases[i + 1]) % p, p)
+        if sol is None:
+            return None
+        maps.append(sol)
+    return Module(m.presentation, m.field, [b.shape[1] for b in bases], maps,
+                  validate=False)
+
+
+def then_by_vertex(f: Morphism, g: Morphism) -> Morphism:
+    """f followed by g, one product per vertex."""
+    return Morphism(f.source, g.target,
+                    [(b @ a) % f.p for a, b in zip(f.comps, g.comps)], validate=False)
+
+
+def kernel_by_vertex(f: Morphism) -> tuple[Module, Morphism]:
+    """Kernel with its inclusion, one nullspace per vertex."""
+    bases = [pf.nullspace(c, f.p) for c in f.comps]
+    k = restrict_by_vertex(f.source, bases)
+    return k, Morphism(k, f.source, bases, validate=False)
+
+
+def cokernel_by_vertex(f: Morphism) -> tuple[Module, Morphism]:
+    """Cokernel with its projection, one complement projector per vertex."""
+    p = f.p
+    pres = f.target.presentation
+    qs, sections = zip(*(pf.complement_projector(c, d, p)
+                         for c, d in zip(f.comps, f.target.dims)))
+    maps = [(qs[i] @ f.target.maps[i] @ sections[i + 1]) % p
+            for i in range(pres.n - 1)]
+    c = Module(pres, f.target.field, [q.shape[0] for q in qs], maps, validate=False)
+    return c, Morphism(f.target, c, qs, validate=False)
+
+
+def direct_sum_by_vertex(modules, presentation, fieldc) -> Module:
+    """Block-diagonal direct sum, one arrow matrix at a time."""
+    n = presentation.n
+    dims = [sum(m.dims[v] for m in modules) for v in range(n)]
+    maps = []
+    for i in range(n - 1):
+        mat = pf.zeros(dims[i], dims[i + 1])
+        ro = co = 0
+        for m in modules:
+            b = m.maps[i]
+            mat[ro:ro + b.shape[0], co:co + b.shape[1]] = b
+            ro += b.shape[0]
+            co += b.shape[1]
+        maps.append(mat)
+    return Module(presentation, fieldc, dims, maps, validate=False)
+
+
+def block_morphism_by_vertex(source, target, source_parts, target_parts,
+                             blocks) -> Morphism:
+    """repcore.block_morphism, one slice assignment per block and vertex."""
+    n = source.presentation.n
+    rows = np.cumsum([[0] * n] + [m.dims for m in target_parts], axis=0)
+    cols = np.cumsum([[0] * n] + [m.dims for m in source_parts], axis=0)
+    comps = [pf.zeros(target.dims[v], source.dims[v]) for v in range(n)]
+    for (j, i), f in blocks.items():
+        for v in range(n):
+            comps[v][rows[j, v]:rows[j + 1, v], cols[i, v]:cols[i + 1, v]] = f.comps[v]
+    return Morphism(source, target, comps, validate=False)
+
+
+def module_dual_by_vertex(m: Module) -> Module:
+    """D(m) over the opposite algebra: the arrow maps transposed, reversed."""
+    return Module(m.presentation.op, m.field, m.dims[::-1],
+                  [a.T for a in reversed(m.maps)], validate=False)
+
+
+def dual_by_vertex(f: Morphism) -> Morphism:
+    """D(f): D(target) -> D(source), the components transposed, reversed."""
+    return Morphism(module_dual_by_vertex(f.target), module_dual_by_vertex(f.source),
+                    [c.T for c in reversed(f.comps)], validate=False)

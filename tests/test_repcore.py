@@ -12,9 +12,12 @@ from cotorsionlab.repcore import (EnumerationRefusedError, FieldChar,
                                   QuiverPresentation)
 from cotorsionlab.serialcat import IndecId, Obj, generate
 
-from oracles import (block_morphism_by_sum, count_submodules_enumerated,
-                     decompose_generic, direct_sum_embeddings,
-                     hom_dim_enumerated, image)
+from oracles import (block_morphism_by_sum, block_morphism_by_vertex,
+                     cokernel_by_vertex, count_submodules_enumerated,
+                     decompose_generic, direct_sum_by_vertex,
+                     direct_sum_embeddings, dual_by_vertex, hom_dim_enumerated,
+                     image, kernel_by_vertex, module_dual_by_vertex,
+                     then_by_vertex)
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +346,120 @@ def test_decompose_after_basis_twist(ctx, ids, seed):
     assert ctx.identify(twisted) == obj
     assert rc.decompose(twisted).multiset() == {
         (i.a, i.b): c for i, c in obj.multiset().items()}
+
+
+# ---- block-matrix operations against the per-vertex references ------------
+
+def _twisted(m, rng):
+    """m with its basis changed by a random automorphism at each vertex:
+    a module with the dims of m but with non-canonical arrow maps."""
+    p = m.field.p
+    gs = []
+    for d in m.dims:
+        while True:
+            g = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                         dtype=np.int64).reshape(d, d)
+            if pf.inv(g, p) is not None:
+                gs.append(g)
+                break
+    return rc.Module(m.presentation, m.field, m.dims,
+                     [(gs[i] @ a @ pf.inv(gs[i + 1], p)) % p
+                      for i, a in enumerate(m.maps)])
+
+
+def _random_map(a, b, rng):
+    f = rc.zero_morphism(a, b)
+    for g in rc.hom_space(a, b):
+        f = f.add(g.scale(rng.randrange(a.field.p)))
+    return f
+
+
+def _same_module(x, y):
+    return (x.dims == y.dims and x.presentation == y.presentation
+            and x.block.dtype == y.block.dtype
+            and x.block.tobytes() == y.block.tobytes())
+
+
+def _same_map(f, g):
+    return (_same_module(f.source, g.source) and _same_module(f.target, g.target)
+            and f.block.dtype == g.block.dtype and f.block.tobytes() == g.block.tobytes())
+
+
+@pytest.mark.parametrize("n, relations", [(6, ((1, 5), (2, 6))), (5, ((1, 3), (2, 5)))])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_operations_match_the_per_vertex_references(n, relations, p):
+    # then, kernel, cokernel, direct_sum, block_morphism and dual on random
+    # maps between random objects, canonical and with a twisted basis, are
+    # byte for byte what one operation per vertex gives
+    ctx = generate(QuiverPresentation(n, relations), FieldChar(p))
+    rng = random.Random(100 * n + p)
+
+    def module():
+        obj = Obj(tuple(rng.choice(ctx.indecs) for _ in range(rng.randint(1, 3))))
+        m = ctx.realize(obj)
+        return _twisted(m, rng) if rng.random() < 0.5 else m
+
+    def receiving(a):  # a module with nonzero maps from a, if one is found
+        for _ in range(20):
+            b = module()
+            if rc.hom_space(a, b):
+                break
+        return b
+    nonzero = 0
+    for _ in range(30):
+        a = module()
+        b = receiving(a)
+        c = receiving(b)
+        f, g = _random_map(a, b, rng), _random_map(b, c, rng)
+        nonzero += not (f.is_zero() or g.is_zero())
+        assert _same_map(f.then(g), then_by_vertex(f, g))
+        for got, want in ((rc.kernel(f), kernel_by_vertex(f)),
+                          (rc.cokernel(f), cokernel_by_vertex(f))):
+            assert _same_module(got[0], want[0]) and _same_map(got[1], want[1])
+        assert _same_module(a.dual(), module_dual_by_vertex(a))
+        assert _same_map(f.dual(), dual_by_vertex(f))
+        parts = [a, rc.zero_module(ctx.presentation, ctx.field), b, c][:rng.randint(0, 4)]
+        assert _same_module(rc.direct_sum(parts, ctx.presentation, ctx.field),
+                            direct_sum_by_vertex(parts, ctx.presentation, ctx.field))
+        src_parts, dst_parts = [a, b], [c, b, a]
+        blocks = {(0, 1): g, (1, 1): _random_map(b, b, rng), (2, 0): _random_map(a, a, rng)}
+        src = rc.direct_sum(src_parts, ctx.presentation, ctx.field)
+        dst = rc.direct_sum(dst_parts, ctx.presentation, ctx.field)
+        assert _same_map(rc.block_morphism(src, dst, src_parts, dst_parts, blocks),
+                         block_morphism_by_vertex(src, dst, src_parts, dst_parts, blocks))
+    assert nonzero >= 10
+
+
+def test_cokernel_and_kernel_are_one_elimination(ctx, monkeypatch):
+    calls = []
+
+    def counting(name):
+        fn = getattr(pf, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pf, name, wrapped)
+    for name in ("complement_projector", "nullspace"):
+        counting(name)
+    f = ctx.canonical_hom(IndecId(3, 5), IndecId(4, 5))
+    big = rc.direct_sum([f.source, f.target], ctx.presentation, ctx.field)
+    g = rc.block_morphism(big, big, [f.source, f.target], [f.source, f.target],
+                          {(1, 0): f, (1, 1): rc.identity(f.target)})
+    for h in (f, g):
+        calls.clear()
+        rc.cokernel(h)
+        assert calls == ["complement_projector"]
+        calls.clear()
+        rc.kernel(h)
+        assert calls == ["nullspace"]
+
+
+def test_blocks_and_their_views_are_read_only(ctx):
+    f = ctx.canonical_hom(IndecId(3, 4), IndecId(3, 5))
+    m = rc.direct_sum([f.source, f.target], ctx.presentation, ctx.field)
+    for a in (m.block, m.maps[2], f.block, f.comps[3], rc.cokernel(f)[1].comps[4],
+              rc.kernel(f)[0].block, f.then(rc.identity(f.target)).block,
+              f.dual().comps[2]):
+        with pytest.raises(ValueError):
+            a[...] = 0

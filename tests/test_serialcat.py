@@ -382,6 +382,52 @@ def test_cached_arrays_are_read_only(ctx):
     assert isinstance(packed, bytes)
 
 
+def test_realized_modules_and_split_isos_are_read_only(ctx):
+    m = ctx.realize(Obj.of(IndecId(1, 2), IndecId(1, 3)))
+    ses = ctx.ses_for_class(Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3)), {(0, 0): 1})
+    _, fwd, bwd = ctx.canonical_iso_from(ses.middle)
+    for a in (m.maps[0], m.block, fwd.comps[2], bwd.comps[4], fwd.block, bwd.block):
+        assert a.size
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_canonical_maps_are_built_once(ctx, monkeypatch):
+    x, y = IndecId(3, 4), IndecId(3, 5)
+    f = ctx.canonical_hom(x, y)
+    assert ctx.canonical_hom(x, y) is f
+    assert ctx.canonical_hom(y, x) is None
+
+    def no_rebuild(*args):
+        raise AssertionError("canonical map rebuilt")
+    monkeypatch.setattr(rc.Morphism, "validate", no_rebuild)
+    assert ctx.canonical_hom(x, y) is f
+
+
+@pytest.mark.parametrize("n, relations, p", [(6, ((1, 5), (2, 6)), 3),
+                                             (5, ((1, 3), (2, 5)), 5)])
+def test_hom_basis_is_the_canonical_summand_pair_maps(n, relations, p, monkeypatch):
+    # on every pair of objects with one or two summands, the canonical
+    # summand-pair maps sorted by their entry at x_i.b are the basis the
+    # nullspace of the naturality system gives: same order, same entries
+    ctx = generate(QuiverPresentation(n, relations), FieldChar(p))
+    objs = [Obj.of(x) for x in ctx.indecs] + [
+        Obj(xy) for xy in combinations(ctx.indecs, 2)] + [
+        Obj.of(x, x) for x in ctx.indecs]
+    want = {(a, b): rc.hom_space(ctx.realize(a), ctx.realize(b))
+            for a in objs for b in objs}
+
+    def no_hom_space(*args):
+        raise AssertionError("hom_basis solved the naturality system")
+    monkeypatch.setattr(rc, "hom_space", no_hom_space)
+    for (a, b), basis in want.items():
+        got = ctx.hom_basis(a, b)
+        assert len(got) == len(basis), (a, b)
+        assert all(g.source is ctx.realize(a) and g.target is ctx.realize(b)
+                   and g.block.tobytes() == h.block.tobytes()
+                   for g, h in zip(got, basis)), (a, b)
+
+
 def test_class_keys_are_reduced_mod_p(ctx):
     third, first = Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3))
     ses = ctx.ses_for_class(third, first, {(0, 0): 1})
