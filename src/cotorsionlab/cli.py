@@ -16,7 +16,7 @@ from . import fileformats as ff
 from .pairs import compute_hearts, verified_twin
 from .repcore import FieldChar, QuiverPresentation
 from .serialcat import generate as generate_ctx
-from .subcat import SearchBounds, Verdict, ses_payload
+from .subcat import SearchBounds, Verdict, inter, ses_payload
 from .heartcat import (check_abelian, check_integral, heart_context,
                        probe_integral_direct)
 
@@ -34,12 +34,11 @@ def _load_setup(args):
 
 def _emit(args, check: str, verdict: Verdict, ctx, subs, bounds,
           started: float, extra: dict | None = None) -> int:
-    subs_out = dict(subs) if subs else {}
-    if subs and "W" not in subs_out and {"U", "T"} <= set(subs_out):
-        from .subcat import inter
-        subs_out["W"] = inter(subs_out["U"], subs_out["T"], name="W")
+    # the report's W is always the core, U intersect T, even where the
+    # pairs file names a helper W of its own: replay checks it is the core
+    subs_out = {**subs, "W": inter(subs["U"], subs["T"], name="W")}
     data = ff.report_payload(check, verdict.payload(), ctx.presentation,
-                             ctx.field, subs_out or None, bounds, 0,
+                             ctx.field, subs_out, bounds, 0,
                              time.monotonic() - started)
     if extra:
         data.update(extra)

@@ -38,6 +38,17 @@ from .serialcat import CategoryCtx, Obj, basis_position
 from .subcat import (SearchBounds, Subcategory, Verdict, _first_split,
                      ses_payload, subcat_in_star)
 
+# Fixed caps of the bounded searches, which no caller sets.  Enumerated
+# epi- and mono-triangles have at most TRIANGLE_MAX_SUMMANDS summands per
+# end and skip classes over more than TRIANGLE_CLASS_CELLS_CAP support
+# cells.  A non-integrality certificate's Z has at most CERT_Z_MAX_SUMMANDS
+# summands and total dimension at most CERT_Z_DIM_CAP, which keeps the
+# complete submodule scan of each candidate affordable.
+TRIANGLE_MAX_SUMMANDS = 2
+TRIANGLE_CLASS_CELLS_CAP = 8
+CERT_Z_MAX_SUMMANDS = 4
+CERT_Z_DIM_CAP = 12
+
 
 class MethodDisagreement(AssertionError):
     """The criterion method and the hom-functor method disagreed."""
@@ -387,24 +398,22 @@ def _reduced_classes(support: list[tuple[int, int]], rows: int, cols: int, p: in
             yield coeffs
 
 
-def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None,
-                       max_summands: int = 2, class_cells_cap: int = 8):
+def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None):
     """Validated epi-conflations within bounds, canonical order.
 
     Enumerates reduced candidates over the Ext support between heart and
-    U ids (at most `max_summands` summands per side, every support cell
-    nonzero) and keeps those whose middle stays in the heart table with a
-    core-monic first map.  Identity conflations A -> A -> 0 and core
+    U ids (at most TRIANGLE_MAX_SUMMANDS summands per side, every support
+    cell nonzero) and keeps those whose middle stays in the heart table
+    with a core-monic first map.  Identity conflations A -> A -> 0 and core
     conflations 0 -> W -> W are emitted first; third terms of valid
     triangles combine under direct sums, so coverage is the cone over
     the emitted stream.  Bounded, not exhaustive.
     """
-    for _, tris in _epi_blocks(h, bounds or h.bounds, max_summands, class_cells_cap):
+    for _, tris in _epi_blocks(h, bounds or h.bounds):
         yield from tris
 
 
-def _epi_blocks(h: HeartContext, bounds: SearchBounds, max_summands: int = 2,
-                class_cells_cap: int = 8):
+def _epi_blocks(h: HeartContext, bounds: SearchBounds):
     """enum_epi_triangles as (third term, lazy triangles onto it) pairs, so
     a caller realizes the classes of only the third terms it asks for."""
     ctx = h.ctx
@@ -420,18 +429,20 @@ def _epi_blocks(h: HeartContext, bounds: SearchBounds, max_summands: int = 2,
               if any(ctx.ext_dim(u, x) == 1 for u in h.tp.u.ids)]
     u_pool = [u for u in sorted(h.tp.u.ids)
               if any(ctx.ext_dim(u, x) == 1 for x in h.heart_ids)]
-    a_cands = Obj.multisets(a_pool, bounds.mult, bounds.dim_cap, max_summands)[1:]
-    u_cands = Obj.multisets(u_pool, bounds.mult, bounds.dim_cap, max_summands)[1:]
+    a_cands = Obj.multisets(a_pool, bounds.mult, bounds.dim_cap,
+                            TRIANGLE_MAX_SUMMANDS)[1:]
+    u_cands = Obj.multisets(u_pool, bounds.mult, bounds.dim_cap,
+                            TRIANGLE_MAX_SUMMANDS)[1:]
     for u0 in u_cands:
-        yield u0, _epi_triangles_onto(h, u0, a_cands, class_cells_cap)
+        yield u0, _epi_triangles_onto(h, u0, a_cands)
 
 
-def _epi_triangles_onto(h: HeartContext, u0: Obj, a_cands, class_cells_cap: int):
+def _epi_triangles_onto(h: HeartContext, u0: Obj, a_cands):
     """The validated epi-triangles a0 -> mid -> u0, a0 in a_cands order."""
     ctx = h.ctx
     for a0 in a_cands:
         support = ctx.ext_matrix_support(u0, a0)
-        if len(support) > class_cells_cap:
+        if len(support) > TRIANGLE_CLASS_CELLS_CAP:
             continue
         rows = {i for i, _ in support}
         cols = {j for _, j in support}
@@ -466,13 +477,12 @@ def _epi_cone(h: HeartContext, bounds: SearchBounds) -> WitnessCone:
     return WitnessCone(h.ctx, reps.items())
 
 
-def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None,
-                        max_summands: int = 2, class_cells_cap: int = 8):
+def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None):
     """Conflations T -> X -> Y with X, Y in the heart and the deflation
     core-epic, witnessing T in the mono class: D of the epi-triangles of
     the D-heart, within the same bounds."""
     d = h.dual()
-    for t in enum_epi_triangles(d, bounds, max_summands, class_cells_cap):
+    for t in enum_epi_triangles(d, bounds):
         yield _mono_of(d, t)
 
 
@@ -552,18 +562,6 @@ def _semisimple_shortcut(h: HeartContext) -> bool:
             and x in h.hearts.second.heart_ids())
 
 
-def _certificate_z_candidates(h: HeartContext, member_ids, outside,
-                              bounds: SearchBounds, max_summands: int = 4,
-                              dim_cap: int = 12):
-    """Candidate objects in the verified member class with at least one
-    summand outside `outside`, ascending by (dim, lex).  The summand and
-    dimension caps keep the complete submodule scan of each candidate
-    affordable; coverage is reported as bounded."""
-    return [o for o in Obj.multisets(member_ids, bounds.mult,
-                                     min(bounds.dim_cap, dim_cap), max_summands)
-            if not o.summands_in(outside)]
-
-
 def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
     """Decision ladder for integrality of the heart.
 
@@ -610,11 +608,15 @@ def _non_integral_certificate(h: HeartContext, bounds: SearchBounds) -> dict | N
     """A certificate against the epi-triangle criterion: Z in the minus
     class with a summand outside U and a conflation T0 -> Z -> Y, Y in the
     cone of witnessed epi-triangle third terms.  On the D-heart this is
-    the mono-triangle criterion."""
+    the mono-triangle criterion.  Candidates Z ascend by (dim, lex) within
+    the CERT_Z caps, so coverage is bounded."""
     ctx = h.ctx
     epi_cone = _epi_cone(h, bounds)
-    minus_ids = sorted(h.hearts.main.minus_ids())
-    for z in _certificate_z_candidates(h, minus_ids, h.tp.u.ids, bounds):
+    candidates = Obj.multisets(sorted(h.hearts.main.minus_ids()), bounds.mult,
+                               min(bounds.dim_cap, CERT_Z_DIM_CAP), CERT_Z_MAX_SUMMANDS)
+    for z in candidates:
+        if z.summands_in(h.tp.u.ids):
+            continue
         _, ses = _first_split(ctx, z, h.tp.t, epi_cone.contains, bounds.dim_cap)
         if ses is None:
             continue

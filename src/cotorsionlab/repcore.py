@@ -373,10 +373,6 @@ def hom_space(m: Module, n: Module) -> list[Morphism]:
     return [Morphism._make(m, n, b) for b in blocks]
 
 
-def hom_dim_brute(m: Module, n: Module) -> int:
-    return len(hom_space(m, n))
-
-
 def _restrict(m: Module, basis: np.ndarray, dims) -> Module | None:
     """The subrepresentation of m spanned by the columns of basis, an
     injective map into m's basis with dimension vector dims, laid out
@@ -591,27 +587,6 @@ def interval_multiset(m: Module) -> dict[tuple[int, int], int]:
     return out
 
 
-@dataclass
-class Decomposition:
-    """Split of a module into interval pieces with explicit maps.
-
-    incls[k] . projs[k] are orthogonal idempotents summing to the identity;
-    pieces are canonical interval modules sorted by interval.
-    """
-
-    module: Module
-    intervals: list[tuple[int, int]]
-    pieces: list[Module]
-    incls: list[Morphism]
-    projs: list[Morphism]
-
-    def multiset(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for iv in self.intervals:
-            out[iv] = out.get(iv, 0) + 1
-        return out
-
-
 def _split_top_generator(m: Module) -> tuple[tuple[int, int], Morphism, Morphism]:
     """Find a maximal-reach top generator and split off the uniserial
     summand it generates.  Returns (interval, incl, retraction)."""
@@ -671,36 +646,27 @@ def _split_top_generator(m: Module) -> tuple[tuple[int, int], Morphism, Morphism
     return (bottom, top), incl, retr
 
 
-def decompose(m: Module) -> Decomposition:
-    """Krull-Schmidt decomposition via the serial fast path.
+def decompose(m: Module) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Krull-Schmidt decomposition via the serial fast path: the intervals
+    of m's summands in sorted order, and the block matrix of an iso onto m
+    from the direct sum of their interval modules, laid out as direct_sum
+    lays it out.
 
     Repeatedly splits off a uniserial summand generated by a top element
-    of maximal reach.  Output pieces are canonical interval modules in
-    sorted interval order, with inclusion/projection witnesses into m.
+    of maximal reach, records the columns of its inclusion into m, and
+    goes on in the kernel of its retraction, a complement.
     """
     p = m.field.p
-    items: list[tuple[tuple[int, int], Morphism, Morphism]] = []
-
-    def rec(sub: Module, into_m: Morphism, onto_sub: Morphism):
-        if sub.is_zero:
-            return
+    items: list[tuple[tuple[int, int], Module, np.ndarray]] = []
+    sub, into_m = m, pf.eye(m.total_dim)
+    while not sub.is_zero:
         iv, incl, retr = _split_top_generator(sub)
-        items.append((iv, incl.then(into_m), onto_sub.then(retr)))
-        k, kincl = kernel(retr)
-        # projection of sub onto the complement k:  id - incl.retr = kincl . pi
-        ideal = identity(sub).add(retr.then(incl).scale(p - 1))
-        sol = pf.solve(kincl.block, ideal.block, p)
-        if sol is None:
-            raise ArithmeticError("complement projection failed (bug)")
-        kproj = Morphism._make(sub, k, sol)
-        rec(k, kincl.then(into_m), onto_sub.then(kproj))
-
-    rec(m, identity(m), identity(m))
+        items.append((iv, incl.source, (into_m @ incl.block) % p))
+        sub, kincl = kernel(retr)
+        into_m = (into_m @ kincl.block) % p
     items.sort(key=lambda it: it[0])
-    return Decomposition(
-        module=m,
-        intervals=[it[0] for it in items],
-        pieces=[it[1].source for it in items],
-        incls=[it[1] for it in items],
-        projs=[it[2] for it in items],
-    )
+    _, places = layout(m.presentation.n, (piece.dims for _, piece, _ in items))
+    fwd = pf.zeros(m.total_dim, m.total_dim)
+    for (_, _, cols), at in zip(items, places):
+        fwd[:, at] = cols
+    return [iv for iv, _, _ in items], fwd

@@ -310,19 +310,15 @@ class CategoryCtx:
 
     def canonical_iso_from(self, m: Module) -> tuple[Obj, Morphism, Morphism]:
         """(obj, iso: realize(obj) -> m, inverse iso).  The splitting is
-        cached by module content, the two block matrices packed as uint8
-        bytes; each call rebuilds the isos onto the caller's own m."""
+        cached by module content, the iso and its inverse, found by one
+        elimination, packed as uint8 bytes; each call rebuilds the isos
+        onto the caller's own m."""
         self._check_module(m)
 
         def build():
-            dec = rc.decompose(m)
-            obj = self._obj(dec.intervals)
-            canon = self.realize(obj)
-            fwd = rc.block_morphism(canon, m, dec.pieces, [m],
-                                    {(0, k): incl for k, incl in enumerate(dec.incls)})
-            bwd = rc.block_morphism(m, canon, [m], dec.pieces,
-                                    {(k, 0): proj for k, proj in enumerate(dec.projs)})
-            return obj, np.stack([fwd.block, bwd.block]).astype(np.uint8).tobytes()
+            intervals, fwd = rc.decompose(m)
+            bwd = pf.inv(fwd, self.field.p)
+            return self._obj(intervals), np.stack([fwd, bwd]).astype(np.uint8).tobytes()
 
         obj, packed = self.cached(("split", m.key), build)
         canon = self.realize(obj)
@@ -496,35 +492,6 @@ class CategoryCtx:
         return Obj(tuple(map(back, mids)))
 
 
-def generate(presentation: QuiverPresentation, fieldc: FieldChar,
-             validate: bool = False) -> CategoryCtx:
-    """Build the category context; optionally cross-check the closed-form
-    Hom/Ext tables against brute-force linear algebra."""
-    ctx = CategoryCtx(presentation, fieldc)
-    if validate:
-        for x in ctx.indecs:
-            for y in ctx.indecs:
-                brute = rc.hom_dim_brute(ctx.realize_id(x), ctx.realize_id(y))
-                if brute != ctx.hom_dim(x, y):
-                    raise AssertionError(f"hom table wrong at ({x}, {y})")
-                if ext_dim_brute(ctx, x, y) != ctx.ext_dim(x, y):
-                    raise AssertionError(f"ext table wrong at ({x}, {y})")
-    return ctx
-
-
-def ext_dim_brute(ctx: CategoryCtx, x: IndecId, y: IndecId) -> int:
-    """Ext dimension from an explicit projective presentation in repcore."""
-    pcov = ctx.projective_cover_id(x)
-    pmod = ctx.realize_id(pcov)
-    xmod = ctx.realize_id(x)
-    cover = ctx.canonical_hom(pcov, x)
-    omod, oincl = rc.kernel(cover)
-    ymod = ctx.realize_id(y)
-    hom_o = rc.hom_space(omod, ymod)
-    if not hom_o:
-        return 0
-    hom_p = rc.hom_space(pmod, ymod)
-    if not hom_p:
-        return len(hom_o)
-    restricted = np.stack([oincl.then(h).vectorize() for h in hom_p], axis=1)
-    return len(hom_o) - pf.rank(restricted, ctx.field.p)
+def generate(presentation: QuiverPresentation, fieldc: FieldChar) -> CategoryCtx:
+    """Build the category context."""
+    return CategoryCtx(presentation, fieldc)

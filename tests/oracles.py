@@ -3,7 +3,9 @@
 These deliberately avoid the solver paths they check: morphism spaces are
 found by enumerating all component tuples and testing naturality entry by
 entry; submodules by enumerating all per-vertex subspace tuples; Ext by
-searching all middle candidates for a non-split conflation.  The
+searching all middle candidates for a non-split conflation.  The Hom and
+Ext tables are also checked by brute-force linear algebra: the nullspace
+of the naturality system and an explicit projective presentation.  The
 generic Fitting decomposition, the image factorization, the middles of
 every Ext class, the core ideal by composition through every core object
 and the kernel universal-property probe are cross-checks that nothing in
@@ -59,6 +61,48 @@ def hom_dim_enumerated(m: Module, n: Module) -> int:
         dim += 1
     assert p ** dim == count, "morphism count is not a power of p"
     return dim
+
+
+def hom_dim_brute(m: Module, n: Module) -> int:
+    """dim Hom(m, n) from the nullspace of the naturality system."""
+    return len(rc.hom_space(m, n))
+
+
+def ext_dim_brute(ctx: CategoryCtx, x: IndecId, y: IndecId) -> int:
+    """Ext dimension from an explicit projective presentation in repcore."""
+    pcov = ctx.projective_cover_id(x)
+    pmod = ctx.realize_id(pcov)
+    omod, oincl = rc.kernel(ctx.canonical_hom(pcov, x))
+    ymod = ctx.realize_id(y)
+    hom_o = rc.hom_space(omod, ymod)
+    if not hom_o:
+        return 0
+    hom_p = rc.hom_space(pmod, ymod)
+    if not hom_p:
+        return len(hom_o)
+    restricted = np.stack([oincl.then(h).vectorize() for h in hom_p], axis=1)
+    return len(hom_o) - pf.rank(restricted, ctx.field.p)
+
+
+def checked_split(m: Module) -> tuple[list[tuple[int, int]], Morphism, Morphism]:
+    """rc.decompose(m) with its iso checked: the intervals ascend, the
+    block is zero outside the vertex blocks of a natural map onto m from
+    the direct sum of their interval modules, and its inverse mod p is a
+    natural two-sided inverse.  Returns (intervals, iso, inverse)."""
+    p = m.field.p
+    intervals, block = rc.decompose(m)
+    assert intervals == sorted(intervals)
+    canon = rc.direct_sum([rc.interval_module(m.presentation, m.field, a, b)
+                           for a, b in intervals], m.presentation, m.field)
+    fwd = Morphism(canon, m, Morphism._make(canon, m, block).comps)
+    assert np.array_equal(fwd.block, block)
+    assert fwd.is_iso()
+    inverse = pf.inv(block, p)
+    bwd = Morphism(m, canon, Morphism._make(m, canon, inverse).comps)
+    assert np.array_equal(bwd.block, inverse)
+    assert np.array_equal(fwd.then(bwd).block, pf.eye(m.total_dim))
+    assert np.array_equal(bwd.then(fwd).block, pf.eye(m.total_dim))
+    return intervals, fwd, bwd
 
 
 def count_submodules_enumerated(m: Module) -> int:

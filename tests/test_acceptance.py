@@ -6,6 +6,7 @@ desk scale and deliberately heavyweight.
 """
 
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -24,10 +25,11 @@ from cotorsionlab.heartcat import (check_abelian, check_integral,
 from cotorsionlab import fileformats as ff
 from cotorsionlab.cli import main as cli_main
 from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
-from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute
+from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import (SearchBounds, Subcategory, subcat_in_star)
 
-from oracles import (core_ideal_by_composition, decompose_generic, in_row_span,
+from oracles import (checked_split, core_ideal_by_composition, decompose_generic,
+                     ext_dim_brute, hom_dim_brute, in_row_span,
                      validate_kernel_universal_property)
 
 
@@ -59,7 +61,7 @@ def test_criterion_1_census_and_tables(capsys):
     assert sorted(ctx.indecs) == expected
     for x in ctx.indecs:
         for y in ctx.indecs:
-            assert ctx.hom_dim(x, y) == rc.hom_dim_brute(
+            assert ctx.hom_dim(x, y) == hom_dim_brute(
                 ctx.realize_id(x), ctx.realize_id(y))
             assert ctx.ext_dim(x, y) == ext_dim_brute(ctx, x, y)
     with capsys.disabled():
@@ -358,10 +360,11 @@ def test_criterion_6h_decomposition_agreement(capsys):
         # through a seeded change of basis
         mods = [m] if idx % 12 else [m, twisted(m)]
         for mod in mods:
-            dec = rc.decompose(mod)
-            assert dec.multiset() == want, tup
-            for piece in dec.pieces:
-                assert len(rc.decompose(piece).pieces) == 1, tup
+            intervals = checked_split(mod)[0]
+            assert dict(Counter(intervals)) == want, tup
+            for a, b in intervals:
+                piece = rc.interval_module(mod.presentation, mod.field, a, b)
+                assert rc.decompose(piece)[0] == [(a, b)], tup
             generic = {}
             for piece in decompose_generic(mod):
                 for k, v in rc.interval_multiset(piece).items():

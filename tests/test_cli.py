@@ -212,6 +212,24 @@ def test_check_twin_nonabelian_core_note(capsys):
     assert data_w.split(":", 1)[1] == data_t.split(":", 1)[1]
 
 
+def test_a_helper_w_in_the_pairs_file_does_not_replace_the_core(ctx, tmp_path,
+                                                                capsys):
+    payload = ff.pairs_payload(fixture_subcategories(ctx, "ex-nonabelian"))
+    payload["subcategories"]["W"] = ["[1,1]"]
+    pairs = tmp_path / "pairs.json"
+    report = tmp_path / "abelian.json"
+    ff.write_json(pairs, payload)
+    code = main(["check-abelian", "--category", CATEGORY, "--pairs", str(pairs),
+                 "--report", str(report)])
+    assert code == 1
+    subs = ff.read_json(report)["subcategories"]
+    assert subs["W"] == sorted(set(subs["U"]) & set(subs["T"]),
+                               key=IndecId.parse)
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 0
+    assert "certificate accepted" in capsys.readouterr().out
+
+
 def test_corrupted_pairs_give_unknown_with_named_indec(ctx, tmp_path, capsys):
     subs = fixture_subcategories(ctx, "ex-nonintegral")
     payload = ff.pairs_payload(subs)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -13,8 +14,8 @@ from cotorsionlab.repcore import (EnumerationRefusedError, FieldChar,
 from cotorsionlab.serialcat import IndecId, Obj, generate
 
 from oracles import (block_morphism_by_sum, block_morphism_by_vertex,
-                     cokernel_by_vertex, count_submodules_enumerated,
-                     decompose_generic, direct_sum_by_vertex,
+                     checked_split, cokernel_by_vertex,
+                     count_submodules_enumerated, decompose_generic, direct_sum_by_vertex,
                      direct_sum_embeddings, dual_by_vertex, hom_dim_enumerated,
                      image, kernel_by_vertex, module_dual_by_vertex,
                      then_by_vertex)
@@ -123,10 +124,7 @@ def test_operation_outputs_are_natural(ctx):
     ses.i.validate()
     ses.p.validate()
     m = ctx.realize(Obj.of(IndecId(3, 5), IndecId(4, 4)))
-    dec = rc.decompose(m)
-    for incl, proj in zip(dec.incls, dec.projs):
-        incl.validate()
-        proj.validate()
+    checked_split(m)  # the split iso and its inverse are natural
 
 
 def test_image_factorization_builds_a_valid_ses(ctx):
@@ -255,50 +253,54 @@ def test_submodules_with_simple_quotient_are_maximal(ctx):
 
 def test_decompose_split_sum(ctx):
     m = ctx.realize(Obj.of(IndecId(3, 4), IndecId(4, 4)))
-    dec = rc.decompose(m)
-    assert dec.intervals == [(3, 4), (4, 4)]
+    assert checked_split(m)[0] == [(3, 4), (4, 4)]
 
 
 def test_decompose_nonsplit_extension_middle(ctx):
     ses = ctx.ses_for_class(Obj.of(IndecId(4, 5)), Obj.of(IndecId(3, 3)),
                             {(0, 0): 1})
-    dec = rc.decompose(ses.middle)
-    assert dec.intervals == [(3, 5)]
+    assert checked_split(ses.middle)[0] == [(3, 5)]
     split = ctx.realize(Obj.of(IndecId(3, 3), IndecId(4, 5)))
-    assert rc.decompose(split).intervals == [(3, 3), (4, 5)]
+    assert checked_split(split)[0] == [(3, 3), (4, 5)]
 
 
 def test_decomposition_maps_are_a_splitting(ctx):
+    # the iso's column blocks are the summand inclusions and the inverse's
+    # row blocks the projections: incl_i . proj_i are orthogonal
+    # idempotents summing to the identity, and proj_j . incl_i is the
+    # identity for i = j and zero otherwise
     m = ctx.realize(Obj.of(IndecId(3, 5), IndecId(3, 4), IndecId(4, 4)))
-    dec = rc.decompose(m)
-    p = 2
-    total = rc.zero_morphism(m, m)
-    for incl, proj in zip(dec.incls, dec.projs):
-        total = total.add(proj.then(incl))
-        assert proj.then(incl) is not None
-    assert all(np.array_equal(a % p, b % p)
-               for a, b in zip(total.comps, rc.identity(m).comps))
-    for i in range(len(dec.pieces)):
-        for j in range(len(dec.pieces)):
-            comp = dec.incls[i].then(dec.projs[j])
-            if i == j:
-                assert comp.is_iso()
-            else:
-                assert comp.is_zero()
+    intervals, fwd, bwd = checked_split(m)
+    assert intervals == [(3, 4), (3, 5), (4, 4)]
+    _, places = rc.layout(m.presentation.n, (ctx.realize_id(IndecId(*iv)).dims
+                                             for iv in intervals))
+    total = pf.zeros(m.total_dim, m.total_dim)
+    for i, at in enumerate(places):
+        idem = (fwd.block[:, at] @ bwd.block[at]) % 2
+        assert np.array_equal((idem @ idem) % 2, idem)
+        total = (total + idem) % 2
+        for j, to in enumerate(places):
+            comp = (bwd.block[to] @ fwd.block[:, at]) % 2
+            want = pf.eye(len(at)) if i == j else pf.zeros(len(to), len(at))
+            assert np.array_equal(comp, want)
+    assert np.array_equal(total, pf.eye(m.total_dim))
 
 
 def test_decompose_is_idempotent(ctx):
     ses = ctx.ses_for_class(Obj.of(IndecId(4, 4)), Obj.of(IndecId(3, 3)),
                             {(0, 0): 1})
-    for piece in rc.decompose(ses.middle).pieces:
-        assert len(rc.decompose(piece).pieces) == 1
+    intervals = checked_split(ses.middle)[0]
+    assert intervals == [(3, 4)]
+    for a, b in intervals:
+        piece = rc.interval_module(ctx.presentation, ctx.field, a, b)
+        assert checked_split(piece)[0] == [(a, b)]
 
 
 def test_generic_decomposition_matches_fast_path(ctx):
     for ids in [[(3, 5)], [(3, 4), (4, 4)], [(1, 2), (1, 1)],
                 [(2, 4), (2, 4)], [(1, 4), (2, 2), (5, 6)]]:
         m = ctx.realize(Obj(tuple(IndecId(a, b) for a, b in ids)))
-        fast = rc.decompose(m).multiset()
+        fast = dict(Counter(checked_split(m)[0]))
         generic = {}
         for piece in decompose_generic(m):
             for k, v in rc.interval_multiset(piece).items():
@@ -344,7 +346,7 @@ def test_decompose_after_basis_twist(ctx, ids, seed):
             for i in range(len(m.maps))]
     twisted = rc.Module(m.presentation, m.field, m.dims, maps)
     assert ctx.identify(twisted) == obj
-    assert rc.decompose(twisted).multiset() == {
+    assert dict(Counter(checked_split(twisted)[0])) == {
         (i.a, i.b): c for i, c in obj.multiset().items()}
 
 

@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from cotorsionlab import repcore as rc
 from cotorsionlab.repcore import FieldChar, QuiverPresentation
-from cotorsionlab.serialcat import IndecId, Obj, ext_dim_brute, generate
+from cotorsionlab.serialcat import IndecId, Obj, generate
 from cotorsionlab.subcat import Subcategory, find_left_approx, find_right_approx
 
-from oracles import (ext_nonzero_by_ses_search, extensions, hom_dim_enumerated,
+from oracles import (checked_split, ext_dim_brute, ext_nonzero_by_ses_search,
+                     extensions, hom_dim_brute, hom_dim_enumerated,
                      multisets_by_product)
 
 # the 18 indecomposables of the bound A6 algebra, by interval
@@ -55,7 +58,7 @@ def test_small_census_against_exhaustive_module_decomposition():
                     m = rc.Module(pres, fld, dims, maps)
                 except ValueError:
                     continue  # violates the relation
-                for piece in rc.decompose(m).intervals:
+                for piece in checked_split(m)[0]:
                     seen.add(IndecId(*piece))
     assert seen == set(a3.indecs)
 
@@ -72,7 +75,7 @@ def test_projectives_and_injectives(ctx):
 def test_hom_table_against_brute_force_on_all_pairs(ctx):
     for x in ctx.indecs:
         for y in ctx.indecs:
-            assert ctx.hom_dim(x, y) == rc.hom_dim_brute(
+            assert ctx.hom_dim(x, y) == hom_dim_brute(
                 ctx.realize_id(x), ctx.realize_id(y)), (x, y)
 
 
@@ -242,9 +245,12 @@ def test_realize_identify_fixture_round_trips(ctx):
     assert ctx.realize(Obj(())).total_dim == 0
 
 
-def test_generate_with_validation_passes():
-    generate(QuiverPresentation(6, ((1, 5), (2, 6))), FieldChar(2),
-             validate=True)
+def test_hom_and_ext_tables_against_brute_force_at_f3():
+    ctx3 = generate(QuiverPresentation(6, ((1, 5), (2, 6))), FieldChar(3))
+    for x, y in product(ctx3.indecs, repeat=2):
+        assert ctx3.hom_dim(x, y) == hom_dim_brute(
+            ctx3.realize_id(x), ctx3.realize_id(y)), (x, y)
+        assert ctx3.ext_dim(x, y) == ext_dim_brute(ctx3, x, y), (x, y)
 
 
 def test_random_extension_classes_realize_to_valid_conflations(ctx):
@@ -349,6 +355,33 @@ def test_equal_content_module_hits_the_split_cache(ctx, monkeypatch):
         got.validate()
     for c, d in zip(fwd.then(bwd).comps, ctx.realize(obj).dims):
         assert np.array_equal(c, np.eye(d, dtype=np.int64))
+
+
+# sha256 of canonical_iso_from on every middle below, recorded while each
+# summand's projection was still built by its own complement solve
+SPLIT_ISOS_SHA256 = (
+    "f450d199cbb4e392bd633fbdf0b5d639c7c43093a3863caf2bcd4dad81e6d314")
+
+
+def test_split_isos_are_pinned():
+    """sha256 over (obj, iso, inverse) of canonical_iso_from on the middle
+    of every class over at most 3 support cells between objects of at most
+    2 summands, n=5 {1-3, 2-5} at F_2 and F_3, each in a fresh context."""
+    digest = hashlib.sha256()
+    for p in (2, 3):
+        ctx5 = generate(QuiverPresentation(5, ((1, 3), (2, 5))), FieldChar(p))
+        objs = [Obj(ids) for k in (1, 2)
+                for ids in combinations_with_replacement(ctx5.indecs, k)]
+        for third, first in product(objs, objs):
+            support = ctx5.ext_matrix_support(third, first)
+            if not support or len(support) > 3:
+                continue
+            for vals in product(range(p), repeat=len(support)):
+                ses = ctx5.ses_for_class(third, first, dict(zip(support, vals)))
+                obj, fwd, bwd = ctx5.canonical_iso_from(ses.middle)
+                digest.update(json.dumps([str(obj), fwd.block.tolist(),
+                                          bwd.block.tolist()]).encode())
+    assert digest.hexdigest() == SPLIT_ISOS_SHA256
 
 
 def test_ids_outside_the_algebra_raise_value_error(ctx, bounds):
