@@ -13,6 +13,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -263,11 +264,8 @@ def parse_pairs(data: dict, ctx: CategoryCtx) -> dict[str, Subcategory]:
     if missing:
         raise FileFormatError(f"pairs file is missing {sorted(missing)}")
     env = dict(raw)
-    out = {}
-    for name in raw:
-        ids = _resolve_name(name, ctx, env, set())
-        out[name] = Subcategory(ids, name=name, provenance="pairs file")
-    return out
+    return {name: Subcategory(_resolve_name(name, ctx, env, set()), name=name)
+            for name in raw}
 
 
 def pairs_payload(subs: dict[str, Subcategory]) -> dict:
@@ -295,9 +293,7 @@ def report_payload(check: str, verdict_payload: dict, presentation, fieldc,
         "timing_seconds": round(timing, 3),
     }
     if subs is not None:
-        data["subcategories"] = {
-            name: [i.as_interval() for i in sub.sorted_ids()]
-            for name, sub in subs.items()}
+        data["subcategories"] = pairs_payload(subs)["subcategories"]
     return data
 
 
@@ -342,6 +338,15 @@ class ReplayFailure(Exception):
         return self.reason
 
 
+@contextmanager
+def _decoding(what: str):
+    """Report a malformed payload decoded in this block as a ReplayFailure."""
+    try:
+        yield
+    except (LookupError, ValueError, TypeError) as exc:
+        raise ReplayFailure(f"{what} payload invalid: {exc}") from exc
+
+
 def _module_from_payload(pres, fieldc, dims, maps) -> rc.Module:
     return rc.Module(pres, fieldc, dims, [np.array(m, dtype=np.int64).reshape(
         (dims[i], dims[i + 1])) if np.size(m) else np.zeros((dims[i], dims[i + 1]),
@@ -349,25 +354,18 @@ def _module_from_payload(pres, fieldc, dims, maps) -> rc.Module:
         for i, m in enumerate(maps)])
 
 
+def _morphism_from_payload(src: rc.Module, dst: rc.Module, comps) -> rc.Morphism:
+    return rc.Morphism(src, dst, [np.array(c, dtype=np.int64).reshape(
+        (dst.dims[v], src.dims[v])) for v, c in enumerate(comps)])
+
+
 def ses_from_payload(pres, fieldc, payload: dict) -> rc.SES:
-    try:
-        first = _module_from_payload(pres, fieldc, payload["first_dims"],
-                                     payload["first_maps"])
-        middle = _module_from_payload(pres, fieldc, payload["middle_dims"],
-                                      payload["middle_maps"])
-        third = _module_from_payload(pres, fieldc, payload["third_dims"],
-                                     payload["third_maps"])
-        i = rc.Morphism(first, middle,
-                        [np.array(c, dtype=np.int64).reshape(
-                            (middle.dims[v], first.dims[v]))
-                         for v, c in enumerate(payload["i_comps"])])
-        p = rc.Morphism(middle, third,
-                        [np.array(c, dtype=np.int64).reshape(
-                            (third.dims[v], middle.dims[v]))
-                         for v, c in enumerate(payload["p_comps"])])
-        return rc.SES(i, p)
-    except (LookupError, ValueError, TypeError) as exc:
-        raise ReplayFailure(f"conflation payload invalid: {exc}") from exc
+    with _decoding("conflation"):
+        first, middle, third = (
+            _module_from_payload(pres, fieldc, payload[f"{t}_dims"], payload[f"{t}_maps"])
+            for t in ("first", "middle", "third"))
+        return rc.SES(_morphism_from_payload(first, middle, payload["i_comps"]),
+                      _morphism_from_payload(middle, third, payload["p_comps"]))
 
 
 def _obj_from_str(text: str) -> Obj:
@@ -574,14 +572,22 @@ def replay_certificate(report: dict) -> list[str]:
 
 
 def _replay_hearts(ctx: CategoryCtx, report: dict):
-    """(twin, hearts, bounds) of the report's subcategories, recomputed."""
+    """(twin, hearts, bounds) of the report's subcategories, recomputed.
+    A tainted membership in any of the three tables refuses the replay:
+    the decision makes no claim from such tables either."""
     subs = {k: Subcategory(_ids_from_strings(v), k)
             for k, v in report["subcategories"].items()}
     bounds = SearchBounds(**report["bounds"])
     tp = verified_twin(ctx, subs, bounds)
     if not tp.verdict.holds:
         raise ReplayFailure("stated twin pair does not verify")
-    return tp, compute_hearts(ctx, tp, bounds), bounds
+    hearts = compute_hearts(ctx, tp, bounds)
+    taint = hearts.tainted_ids()
+    if taint:
+        raise ReplayFailure("recomputed heart tables have tainted memberships "
+                            "(a search hit its bound): "
+                            + ", ".join(str(x) for x in sorted(taint)))
+    return tp, hearts, bounds
 
 
 def _replay_condition1(ctx: CategoryCtx, report: dict, cert: dict,
@@ -620,10 +626,9 @@ def _replay_square(ctx: CategoryCtx, report: dict, cert: dict,
     def hm(payload):
         src = _obj_from_str(payload["src"])
         dst = _obj_from_str(payload["dst"])
-        mor = rc.Morphism(ctx.realize(src), ctx.realize(dst),
-                          [np.array(c, dtype=np.int64).reshape(
-                              (ctx.realize(dst).dims[v], ctx.realize(src).dims[v]))
-                           for v, c in enumerate(payload["comps"])])
+        with _decoding("square map"):
+            mor = _morphism_from_payload(ctx.realize(src), ctx.realize(dst),
+                                         payload["comps"])
         return HeartMorphism(h, src, dst, mor)
 
     d = hm(cert["d_epi"])

@@ -398,8 +398,8 @@ def _reduced_classes(support: list[tuple[int, int]], rows: int, cols: int, p: in
             yield coeffs
 
 
-def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None):
-    """Validated epi-conflations within bounds, canonical order.
+def enum_epi_triangles(h: HeartContext):
+    """Validated epi-conflations within h.bounds, canonical order.
 
     Enumerates reduced candidates over the Ext support between heart and
     U ids (at most TRIANGLE_MAX_SUMMANDS summands per side, every support
@@ -409,14 +409,14 @@ def enum_epi_triangles(h: HeartContext, bounds: SearchBounds | None = None):
     triangles combine under direct sums, so coverage is the cone over
     the emitted stream.  Bounded, not exhaustive.
     """
-    for _, tris in _epi_blocks(h, bounds or h.bounds):
+    for _, tris in _epi_blocks(h):
         yield from tris
 
 
-def _epi_blocks(h: HeartContext, bounds: SearchBounds):
+def _epi_blocks(h: HeartContext):
     """enum_epi_triangles as (third term, lazy triangles onto it) pairs, so
     a caller realizes the classes of only the third terms it asks for."""
-    ctx = h.ctx
+    ctx, bounds = h.ctx, h.bounds
     zero = ctx.realize(Obj(()))
     heart_sorted = sorted(h.heart_ids)
     yield Obj(()), (HeartTriangle("epi", o, o, Obj(()), rc.SES(
@@ -459,30 +459,30 @@ def _epi_triangles_onto(h: HeartContext, u0: Obj, a_cands):
                 yield HeartTriangle("epi", a0, mid, u0, rc.SES(canon_i, fwd.then(ses.p)))
 
 
-def _first_triangles(h: HeartContext, bounds: SearchBounds, wanted):
+def _first_triangles(h: HeartContext, wanted):
     """(third term, first triangle) of each block of _epi_blocks whose third
     term passes wanted(third), asked before the block is realized."""
-    for third, tris in _epi_blocks(h, bounds):
+    for third, tris in _epi_blocks(h):
         t = next(tris, None) if wanted(third) else None
         if t is not None:
             yield third, t
 
 
-def _epi_cone(h: HeartContext, bounds: SearchBounds) -> WitnessCone:
-    """WitnessCone of enum_epi_triangles(h, bounds); realizes one triangle
+def _epi_cone(h: HeartContext) -> WitnessCone:
+    """WitnessCone of enum_epi_triangles(h); realizes one triangle
     per third term that no earlier triangle witnesses."""
     reps = {}
-    for third, t in _first_triangles(h, bounds, lambda u: not (u.is_zero or u in reps)):
+    for third, t in _first_triangles(h, lambda u: not (u.is_zero or u in reps)):
         reps[third] = t
     return WitnessCone(h.ctx, reps.items())
 
 
-def enum_mono_triangles(h: HeartContext, bounds: SearchBounds | None = None):
+def enum_mono_triangles(h: HeartContext):
     """Conflations T -> X -> Y with X, Y in the heart and the deflation
     core-epic, witnessing T in the mono class: D of the epi-triangles of
     the D-heart, within the same bounds."""
     d = h.dual()
-    for t in enum_epi_triangles(d, bounds):
+    for t in enum_epi_triangles(d):
         yield _mono_of(d, t)
 
 
@@ -562,7 +562,7 @@ def _semisimple_shortcut(h: HeartContext) -> bool:
             and x in h.hearts.second.heart_ids())
 
 
-def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
+def check_integral(h: HeartContext) -> Verdict:
     """Decision ladder for integrality of the heart.
 
     Holds routes: zero heart; either star inclusion (U in S*T or
@@ -576,8 +576,7 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
     submodule scan never refuses (a refusal would raise, not fall through).
     Likewise T inside V+W implies T in U*V.
     """
-    bounds = bounds or h.bounds
-    ctx = h.ctx
+    ctx, bounds = h.ctx, h.bounds
     if not h.surviving:
         return Verdict(status="holds", route="zero-heart", bounds=bounds,
                        notes=("heart is the zero category",))
@@ -591,11 +590,11 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
         return Verdict(status="holds", route="one-simple-object heart "
                        "(abelian, hence integral)", bounds=bounds)
 
-    cert = _non_integral_certificate(h, bounds)
+    cert = _non_integral_certificate(h)
     if cert is not None:
         return Verdict(status="fails", route="epi-triangle criterion",
                        certificate=cert, bounds=bounds)
-    cert = _non_integral_certificate(h.dual(), bounds)
+    cert = _non_integral_certificate(h.dual())
     if cert is not None:
         return Verdict(status="fails", route="mono-triangle criterion (dual)",
                        certificate=dual_certificate(cert), bounds=bounds)
@@ -604,14 +603,14 @@ def check_integral(h: HeartContext, bounds: SearchBounds | None = None) -> Verdi
                    notes=("no theorem route applied and no certificate found",))
 
 
-def _non_integral_certificate(h: HeartContext, bounds: SearchBounds) -> dict | None:
+def _non_integral_certificate(h: HeartContext) -> dict | None:
     """A certificate against the epi-triangle criterion: Z in the minus
     class with a summand outside U and a conflation T0 -> Z -> Y, Y in the
     cone of witnessed epi-triangle third terms.  On the D-heart this is
     the mono-triangle criterion.  Candidates Z ascend by (dim, lex) within
     the CERT_Z caps, so coverage is bounded."""
-    ctx = h.ctx
-    epi_cone = _epi_cone(h, bounds)
+    ctx, bounds = h.ctx, h.bounds
+    epi_cone = _epi_cone(h)
     candidates = Obj.multisets(sorted(h.hearts.main.minus_ids()), bounds.mult,
                                min(bounds.dim_cap, CERT_Z_DIM_CAP), CERT_Z_MAX_SUMMANDS)
     for z in candidates:
@@ -662,14 +661,13 @@ def _heart_witness_payload(h: HeartContext, ids) -> dict:
     return out
 
 
-def _condition_verdict(h: HeartContext, cond: int,
-                       bounds: SearchBounds) -> Verdict | None:
+def _condition_verdict(h: HeartContext, cond: int) -> Verdict | None:
     """Fails on abelian condition (2), from the first epi-triangle whose
     third term leaves S+W, or (3), from the first mono-triangle whose first
     term leaves V+W: (2) on the D-heart, where S'+W' = D(V+W)."""
     d = h if cond == 2 else h.dual()
     t = next((t for _, t in _first_triangles(
-        d, bounds, lambda u: not u.summands_in(d.tp.s.ids | d.w_ids))), None)
+        d, lambda u: not u.summands_in(d.tp.s.ids | d.w_ids))), None)
     if t is None:
         return None
     term, allowed, where = "third", h.tp.s.ids, "S+W"
@@ -684,10 +682,10 @@ def _condition_verdict(h: HeartContext, cond: int,
                 h, [x for o in heart_terms for x in o.ids])}
     return Verdict(status="fails", route=f"condition ({cond}): witnessed "
                    f"{t.kind}-triangle {term} term outside {where}",
-                   certificate=cert, bounds=bounds)
+                   certificate=cert, bounds=h.bounds)
 
 
-def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdict:
+def check_abelian(h: HeartContext) -> Verdict:
     """Decision ladder for abelianness of the heart.
 
     The three necessary-and-sufficient conditions are: (1) the heart
@@ -698,13 +696,12 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
     complete); (2) and (3) fail definitively on any witnessed
     counterexample.  Holds requires a theorem route.
     """
-    bounds = bounds or h.bounds
+    bounds = h.bounds
     lhs = frozenset(h.surviving)
     h1 = h.hearts.first.heart_ids()
     h2 = h.hearts.second.heart_ids()
     rhs = (h1 & h2) - h.w_ids
-    taint = (h.hearts.main.tainted_ids() | h.hearts.first.tainted_ids()
-             | h.hearts.second.tainted_ids())
+    taint = h.hearts.tainted_ids()
     sub_notes = []
     if taint:
         sub_notes.append("tainted memberships: "
@@ -736,7 +733,7 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
                           notes=("heart is equivalent to vector spaces over "
                                  "the prime field",))
     for cond in ((2, 3) if theorem is None or taint else ()):
-        failed = _condition_verdict(h, cond, bounds)
+        failed = _condition_verdict(h, cond)
         if failed is not None:
             return failed
     if theorem is not None:
@@ -750,7 +747,7 @@ def check_abelian(h: HeartContext, bounds: SearchBounds | None = None) -> Verdic
         return Verdict(status="holds",
                        route="heart inside second heart + T inside V+W",
                        bounds=bounds, exhaustive=True)
-    integral = check_integral(h, bounds)
+    integral = check_integral(h)
     if integral.fails:
         return Verdict(status="fails", route="not integral",
                        certificate=integral.certificate, bounds=bounds,

@@ -241,6 +241,11 @@ class HeartClasses:
     first: HeartTable    # heart of (S, T), core S cap T
     second: HeartTable   # heart of (U, V), core U cap V
 
+    def tainted_ids(self) -> frozenset[IndecId]:
+        """Ids tainted in any of the three tables."""
+        return (self.main.tainted_ids() | self.first.tainted_ids()
+                | self.second.tainted_ids())
+
     def dual(self, twin: TwinPair, n: int) -> "HeartClasses":
         """Tables of the D-twin `twin`: D swaps the two single-pair hearts."""
         return HeartClasses(twin, self.bounds, self.main.dual(n),

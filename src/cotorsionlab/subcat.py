@@ -46,28 +46,22 @@ class Subcategory:
 
     ids: frozenset[IndecId]
     name: str = ""
-    provenance: str = "literal"
-
-    @staticmethod
-    def of(ctx: CategoryCtx, ids, name: str = "", provenance: str = "literal") -> "Subcategory":
-        checked = frozenset(ctx.check_id(i) for i in ids)
-        return Subcategory(checked, name, provenance)
 
     @staticmethod
     def empty(name: str = "0") -> "Subcategory":
-        return Subcategory(frozenset(), name, "empty")
+        return Subcategory(frozenset(), name)
 
     @staticmethod
     def everything(ctx: CategoryCtx, name: str = "mod A") -> "Subcategory":
-        return Subcategory(frozenset(ctx.indecs), name, "all indecomposables")
+        return Subcategory(frozenset(ctx.indecs), name)
 
     @staticmethod
     def projectives(ctx: CategoryCtx) -> "Subcategory":
-        return Subcategory(frozenset(ctx.projectives), "proj", "projectives")
+        return Subcategory(frozenset(ctx.projectives), "proj")
 
     @staticmethod
     def injectives(ctx: CategoryCtx) -> "Subcategory":
-        return Subcategory(frozenset(ctx.injectives), "inj", "injectives")
+        return Subcategory(frozenset(ctx.injectives), "inj")
 
     def sorted_ids(self) -> list[IndecId]:
         return sorted(self.ids)
@@ -82,28 +76,28 @@ class Subcategory:
         return "{" + ", ".join(i.as_interval() for i in self.sorted_ids()) + "}"
 
     def dual(self, n: int) -> "Subcategory":
-        return Subcategory(frozenset(x.dual(n) for x in self.ids), f"D{self.name}", "dual")
+        return Subcategory(frozenset(x.dual(n) for x in self.ids), f"D{self.name}")
 
 
 def oplus(x: Subcategory, y: Subcategory, name: str = "") -> Subcategory:
-    return Subcategory(x.ids | y.ids, name or f"oplus({x.name},{y.name})", "oplus")
+    return Subcategory(x.ids | y.ids, name or f"oplus({x.name},{y.name})")
 
 
 def inter(x: Subcategory, y: Subcategory, name: str = "") -> Subcategory:
-    return Subcategory(x.ids & y.ids, name or f"inter({x.name},{y.name})", "inter")
+    return Subcategory(x.ids & y.ids, name or f"inter({x.name},{y.name})")
 
 
 def right_perp(ctx: CategoryCtx, x: Subcategory, name: str = "") -> Subcategory:
     """Indecomposables y with Ext(u, y) = 0 for every u in x."""
     ids = frozenset(y for y in ctx.indecs
                     if all(ctx.ext_dim(u, y) == 0 for u in x.ids))
-    return Subcategory(ids, name or f"rperp({x.name})", "right_perp")
+    return Subcategory(ids, name or f"rperp({x.name})")
 
 
 def left_perp(ctx: CategoryCtx, x: Subcategory, name: str = "") -> Subcategory:
     ids = frozenset(y for y in ctx.indecs
                     if all(ctx.ext_dim(y, v) == 0 for v in x.ids))
-    return Subcategory(ids, name or f"lperp({x.name})", "left_perp")
+    return Subcategory(ids, name or f"lperp({x.name})")
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,14 +3,14 @@ from itertools import combinations
 import hypothesis
 import pytest
 
-from cotorsionlab.fixtures import (FIXTURES, fixture_subcategories,
-                                   paper_context)
 from cotorsionlab.heartcat import heart_context
 from cotorsionlab.pairs import compute_hearts, verify_cotorsion, verify_twin
 from cotorsionlab.repcore import FieldChar, QuiverPresentation
 from cotorsionlab.serialcat import generate
 from cotorsionlab.subcat import (SearchBounds, Subcategory, left_perp,
                                  right_perp)
+
+from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
 hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None,

@@ -14,7 +14,6 @@ import pytest
 
 from cotorsionlab import primefield as pf
 from cotorsionlab import repcore as rc
-from cotorsionlab.fixtures import fixture_subcategories, paper_context
 from cotorsionlab.heartcat import (check_abelian, check_integral,
                                    enum_epi_triangles, heart_context,
                                    heart_morphism_from_coeffs,
@@ -31,6 +30,7 @@ from cotorsionlab.subcat import (SearchBounds, Subcategory, subcat_in_star)
 from oracles import (checked_split, core_ideal_by_composition, decompose_generic,
                      ext_dim_brute, hom_dim_brute, in_row_span,
                      validate_kernel_universal_property)
+from paper_fixtures import fixture_subcategories, paper_context
 
 
 def _pipeline(ctx, name, bounds):

@@ -1,16 +1,16 @@
 import ast
 import hashlib
-import pathlib
 from collections import Counter
 
 import pytest
 
 from cotorsionlab import fileformats as ff
 from cotorsionlab.cli import main
-from cotorsionlab.fixtures import fixture_subcategories
 from cotorsionlab.serialcat import IndecId
+from cotorsionlab.subcat import SearchBounds
 
-FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+from paper_fixtures import FIXDIR, fixture_subcategories
+
 CATEGORY = str(FIXDIR / "paper_a6.category.json")
 
 
@@ -228,6 +228,40 @@ def test_a_helper_w_in_the_pairs_file_does_not_replace_the_core(ctx, tmp_path,
     capsys.readouterr()
     assert main(["replay", str(report)]) == 0
     assert "certificate accepted" in capsys.readouterr().out
+
+
+def test_replay_refuses_a_condition1_claim_on_tainted_tables(tmp_path, capsys):
+    # at dim_cap 6 the membership searches for [3,5] of ex-nonabelian hit
+    # their bound: check-abelian makes no condition-(1) claim there, so
+    # replay must not accept the claim under those bounds either
+    args = ["check-abelian", "--category", CATEGORY,
+            "--pairs", pairs_file("ex-nonabelian")]
+    report = tmp_path / "abelian.json"
+    assert main(args + ["--report", str(report)]) == 1
+    assert main(args + ["--dim-cap", "6"]) == 3
+    assert "tainted memberships: [3,5]" in capsys.readouterr().out
+    data = ff.read_json(report)
+    assert data["verdict"]["certificate"]["condition"] == 1
+    data["bounds"]["dim_cap"] = 6
+    ff.write_json(report, data)
+    assert main(["replay", str(report)]) == 4
+    out = capsys.readouterr().out
+    assert "replay: MISMATCH" in out
+    assert "tainted memberships" in out and "[3,5]" in out
+
+
+def test_replay_refuses_a_square_on_tainted_tables(ctx, tmp_path, capsys):
+    # a pullback-square replay recomputes the same tables, and refuses
+    # them before it reads the square
+    subs = fixture_subcategories(ctx, "ex-nonabelian")
+    data = ff.report_payload(
+        "probe", {"status": "fails", "certificate": {"kind": "non_integral_square"}},
+        ctx.presentation, ctx.field, subs, SearchBounds(dim_cap=6), 0, 0.0)
+    report = tmp_path / "square.json"
+    ff.write_json(report, data)
+    assert main(["replay", str(report)]) == 4
+    out = capsys.readouterr().out
+    assert "tainted memberships" in out and "[3,5]" in out
 
 
 def test_corrupted_pairs_give_unknown_with_named_indec(ctx, tmp_path, capsys):
@@ -503,7 +537,9 @@ def test_replay_of_probe_certificate(tmp_path, capsys):
         ff.write_json(bad, data)
         capsys.readouterr()
         assert main(["replay", str(bad)]) == 4, key
-        assert "replay: MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "replay: MISMATCH" in out
+        assert "square map payload invalid" in out, key
 
 
 def test_regen_script_output_matches_repo_fixtures(tmp_path):
@@ -515,11 +551,15 @@ def test_regen_script_output_matches_repo_fixtures(tmp_path):
     (workdir / "scripts").mkdir(parents=True)
     shutil.copy(script, workdir / "scripts" / "regen_fixtures.py")
     shutil.copytree(FIXDIR.parent / "src", workdir / "src")
+    # the category and pairs files are the inputs; the report is rebuilt
+    name = "ex-nonintegral.integral-report.json"
+    (workdir / "fixtures").mkdir()
+    for f in FIXDIR.glob("*.json"):
+        if f.name != name:
+            shutil.copy(f, workdir / "fixtures" / f.name)
     subprocess.run([sys.executable, str(workdir / "scripts" / "regen_fixtures.py")],
                    check=True, capture_output=True)
-    for f in sorted(FIXDIR.glob("*.json")):
-        regen = (workdir / "fixtures" / f.name).read_text()
-        assert regen == f.read_text(), f.name
+    assert (workdir / "fixtures" / name).read_text() == (FIXDIR / name).read_text()
 
 
 # ---- repository hygiene -------------------------------------------------------
@@ -582,3 +622,21 @@ def test_no_dead_definitions():
             and total[node.name] == _references(node)[node.name]]
     assert len(trees) > 20
     assert dead == []
+
+
+def test_every_module_is_imported_by_the_package():
+    # every module but the entry point is imported by another module of
+    # the package (its __init__ re-exports and does not count), so none
+    # holds code that only the tests or the scripts call
+    pkg = FIXDIR.parent / "src" / "cotorsionlab"
+    files = {f.stem: f for f in sorted(pkg.glob("*.py"))}
+    imported = set()
+    for stem, f in files.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                imported.update(n for n in names if n != stem)
+    assert len(files) > 5
+    assert sorted(set(files) - {"__init__", "cli"} - imported) == []

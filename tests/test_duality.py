@@ -133,7 +133,7 @@ def test_d_twin_verified_from_scratch_reaches_the_same_verdicts(ctx, bounds,
 
 
 def _dual_branch_report(h, bounds):
-    cert = ff.dual_certificate(_non_integral_certificate(h.dual(), bounds))
+    cert = ff.dual_certificate(_non_integral_certificate(h.dual()))
     verdict = {"status": "fails", "route": "mono-triangle criterion (dual)",
                "certificate": cert}
     return json.loads(ff.dumps_canonical(ff.report_payload(

@@ -14,7 +14,6 @@ from cotorsionlab.heartcat import (HeartMorphism, WitnessCone, check_abelian,
                                    is_epi_in_heart, is_mono_in_heart,
                                    is_w_epic, is_w_monic, kernel_in_heart,
                                    probe_integral_direct)
-from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.pairs import (compute_hearts, verified_twin, verify_cotorsion,
                                verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
@@ -22,6 +21,7 @@ from cotorsionlab.subcat import SearchBounds, Subcategory
 
 from oracles import (core_ideal_by_composition, in_core_ideal,
                      validate_kernel_universal_property)
+from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
 
 def hm_of(hctx, src_ids, dst_ids, mor):

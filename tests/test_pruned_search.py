@@ -14,13 +14,14 @@ import pytest
 from cotorsionlab import fileformats as ff
 from cotorsionlab import repcore as rc
 from cotorsionlab.cli import main
-from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.heartcat import (WitnessCone, _condition_verdict, _epi_cone,
                                    _first_triangles, check_abelian,
                                    enum_epi_triangles, heart_context)
 from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import SearchBounds, Verdict, ses_payload, subcat_in_star
+
+from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
 THEOREM_ROUTES = ("zero-heart", "one-simple-object heart")
 
@@ -48,9 +49,9 @@ def assert_pruned_matches_full_stream(h):
     for allowed in (h.tp.s.ids | h.w_ids, h.w_ids, frozenset()):
         want = next((t for t in full if not t.third.summands_in(allowed)), None)
         got = next((t for _, t in _first_triangles(
-            h, h.bounds, lambda u: not u.summands_in(allowed))), None)
+            h, lambda u: not u.summands_in(allowed))), None)
         assert _payloads(h, [got]) == _payloads(h, [want])
-    cone = _epi_cone(h, h.bounds)
+    cone = _epi_cone(h)
     full_cone = WitnessCone(h.ctx, [(t.third, t) for t in full])
     assert list(cone.reps) == list(full_cone.reps)
     assert _payloads(h, cone.reps.values()) == _payloads(h, full_cone.reps.values())
@@ -77,13 +78,13 @@ def test_theorem_routes_leave_no_condition_counterexample(census_a5, fixture_hea
     for h in census_a5 + list(fixture_hearts.values()):
         if check_abelian(h).route in THEOREM_ROUTES:
             taken += 1
-            assert _condition_verdict(h, 2, h.bounds) is None
-            assert _condition_verdict(h, 3, h.bounds) is None
+            assert _condition_verdict(h, 2) is None
+            assert _condition_verdict(h, 3) is None
     assert taken > 150
 
 
 def _condition_report(h, subs, cond, tmp_path):
-    verdict = _condition_verdict(h, cond, h.bounds)
+    verdict = _condition_verdict(h, cond)
     assert verdict is not None and verdict.certificate["condition"] == cond
     data = ff.report_payload("check-abelian", verdict.payload(), h.ctx.presentation,
                              h.ctx.field, subs, h.bounds, 0, 0.0)

@@ -17,12 +17,13 @@ import pytest
 
 from cotorsionlab import fileformats as ff
 from cotorsionlab import subcat
-from cotorsionlab.fixtures import fixture_subcategories, paper_context
 from cotorsionlab.heartcat import check_abelian, check_integral, heart_context
 from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import CategoryCtx, IndecId, Obj
 from cotorsionlab.subcat import (SearchBounds, Subcategory, find_left_approx,
                                  star_member)
+
+from paper_fixtures import fixture_subcategories, paper_context
 
 
 def _ses_matrices(ses):

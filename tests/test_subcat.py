@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotorsionlab.fixtures import FIXTURES, fixture_subcategories, paper_context
 from cotorsionlab.pairs import verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
@@ -14,6 +13,7 @@ from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
                                  right_perp, star_member, subcat_in_star)
 
 from oracles import extensions
+from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
 ALL_IDS = sorted(
     IndecId(a, b) for a in range(1, 7) for b in range(a, 7)
