@@ -109,14 +109,14 @@ def _tables_payload(hearts) -> dict:
     def ids(s):
         return sorted(str(x) for x in s)
     return {
-        "W": ids(hearts.twin.w.ids),
-        "bplus": ids(hearts.main.plus_ids()),
-        "bminus": ids(hearts.main.minus_ids()),
-        "heart": ids(hearts.main.heart_ids()),
-        "heart_surviving": ids(hearts.main.surviving_ids()),
-        "h1_surviving": ids(hearts.first.surviving_ids()),
-        "h2_surviving": ids(hearts.second.surviving_ids()),
-        "tainted": ids(hearts.main.tainted_ids()),
+        "W": ids(hearts.main.core.ids),
+        "bplus": ids(hearts.main.plus_ids),
+        "bminus": ids(hearts.main.minus_ids),
+        "heart": ids(hearts.main.heart_ids),
+        "heart_surviving": ids(hearts.main.surviving_ids),
+        "h1_surviving": ids(hearts.first.surviving_ids),
+        "h2_surviving": ids(hearts.second.surviving_ids),
+        "tainted": ids(hearts.main.tainted_ids),
     }
 
 
@@ -125,7 +125,7 @@ def cmd_heart(args) -> int:
         tables = _tables_payload(hearts)
         verdict = Verdict(
             status="holds", route="membership search (complete reduced space)",
-            bounds=bounds, exhaustive=not hearts.main.tainted_ids(),
+            bounds=bounds, exhaustive=not hearts.main.tainted_ids,
             notes=(f"heart modulo core: {', '.join(tables['heart_surviving']) or '0'}",))
         return verdict, {"tables": tables}
     return _with_hearts(args, "heart", decide)

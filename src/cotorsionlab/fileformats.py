@@ -62,6 +62,8 @@ def read_json(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: expected a JSON object, "
                               f"got {type(data).__name__}")
@@ -92,17 +94,20 @@ def parse_category(data: dict) -> tuple[QuiverPresentation, FieldChar]:
         raise FileFormatError(f"bad category file: {exc}") from exc
 
 
+def _num(key: str, value) -> int:
+    """A JSON integer, not a float, string or bool."""
+    if type(value) is not int:
+        raise FileFormatError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_algebra(data: dict) -> tuple[QuiverPresentation, FieldChar]:
     """The algebra and field of a category file or certificate context;
-    every number must be a JSON integer, not a float, string or bool."""
-    def num(key, value):
-        if type(value) is not int:
-            raise FileFormatError(f"{key} must be an integer, got {value!r}")
-        return value
-    relations = tuple((num("relation vertex", a), num("relation vertex", b))
+    every number must be a JSON integer."""
+    relations = tuple((_num("relation vertex", a), _num("relation vertex", b))
                       for a, b in data["relations"])
-    return (QuiverPresentation(num("n", data["n"]), relations),
-            FieldChar(num("field_char", data["field_char"])))
+    return (QuiverPresentation(_num("n", data["n"]), relations),
+            FieldChar(_num("field_char", data["field_char"])))
 
 
 def parse_relations_flag(text: str) -> tuple[tuple[int, int], ...]:
@@ -264,8 +269,11 @@ def parse_pairs(data: dict, ctx: CategoryCtx) -> dict[str, Subcategory]:
     if missing:
         raise FileFormatError(f"pairs file is missing {sorted(missing)}")
     env = dict(raw)
-    return {name: Subcategory(_resolve_name(name, ctx, env, set()), name=name)
-            for name in raw}
+    try:
+        return {name: Subcategory(_resolve_name(name, ctx, env, set()), name=name)
+                for name in raw}
+    except RecursionError:
+        raise FileFormatError("subcategory definitions nest too deeply") from None
 
 
 def pairs_payload(subs: dict[str, Subcategory]) -> dict:
@@ -509,11 +517,9 @@ def replay_certificate(report: dict) -> list[str]:
                       "the opposite algebra"] + inner[1:]
     pres, fieldc = _parse_algebra(cert_ctx)
     ctx = generate(pres, fieldc)
-    w_ids = _ids_from_strings(cert_ctx.get("W", [])) if "W" in cert_ctx else (
-        _ids_from_strings(cert_ctx["U"]) & _ids_from_strings(cert_ctx["T"]))
-    if "U" in cert_ctx and "T" in cert_ctx and "W" in cert_ctx:
-        if w_ids != _ids_from_strings(cert_ctx["U"]) & _ids_from_strings(cert_ctx["T"]):
-            raise ReplayFailure("stated core W is not U intersect T")
+    w_ids = _ids_from_strings(cert_ctx["U"]) & _ids_from_strings(cert_ctx["T"])
+    if "W" in cert_ctx and _ids_from_strings(cert_ctx["W"]) != w_ids:
+        raise ReplayFailure("stated core W is not U intersect T")
     w_sub = Subcategory(w_ids, "W")
 
     if kind == "non_integral":
@@ -577,12 +583,16 @@ def _replay_hearts(ctx: CategoryCtx, report: dict):
     the decision makes no claim from such tables either."""
     subs = {k: Subcategory(_ids_from_strings(v), k)
             for k, v in report["subcategories"].items()}
-    bounds = SearchBounds(**report["bounds"])
+    raw = report["bounds"]
+    if not isinstance(raw, dict):
+        raise TypeError("bounds is not an object")
+    bounds = SearchBounds(**{key: _num(f"bounds {key}", value)
+                             for key, value in raw.items()})
     tp = verified_twin(ctx, subs, bounds)
     if not tp.verdict.holds:
         raise ReplayFailure("stated twin pair does not verify")
     hearts = compute_hearts(ctx, tp, bounds)
-    taint = hearts.tainted_ids()
+    taint = hearts.tainted_ids
     if taint:
         raise ReplayFailure("recomputed heart tables have tainted memberships "
                             "(a search hit its bound): "
@@ -595,9 +605,9 @@ def _replay_condition1(ctx: CategoryCtx, report: dict, cert: dict,
     """Re-run the complete reduced membership searches for the named
     witnesses only (deterministic, a few milliseconds)."""
     _, hearts, _ = _replay_hearts(ctx, report)
-    lhs = hearts.main.surviving_ids()
-    h1 = hearts.first.heart_ids()
-    h2 = hearts.second.heart_ids()
+    lhs = hearts.main.surviving_ids
+    h1 = hearts.first.heart_ids
+    h2 = hearts.second.heart_ids
     for s in cert["in_heart_not_in_h1"]:
         x = IndecId.parse(s)
         if x not in lhs or x in h1:

@@ -68,8 +68,8 @@ class HeartContext:
 
     def __post_init__(self):
         self.w_ids = self.tp.w.ids
-        self.heart_ids = self.hearts.main.heart_ids()
-        self.surviving = tuple(sorted(self.hearts.main.surviving_ids()))
+        self.heart_ids = self.hearts.main.heart_ids
+        self.surviving = tuple(sorted(self.hearts.main.surviving_ids))
 
     # -- quotient-category linear algebra --------------------------------
 
@@ -109,9 +109,8 @@ class HeartContext:
             return base
         if self._dual is None:
             n = self.ctx.presentation.n
-            tp = self.tp.dual(n)
-            self._dual = HeartContext(self.ctx.op, tp, self.hearts.dual(tp, n),
-                                      self.bounds)
+            self._dual = HeartContext(self.ctx.op, self.tp.dual(n),
+                                      self.hearts.dual(n), self.bounds)
             self._dual._dual_of = weakref.ref(self)
         return self._dual
 
@@ -558,8 +557,8 @@ def _semisimple_shortcut(h: HeartContext) -> bool:
     obj = Obj.of(x)
     if h.quotient_hom_dim(obj, obj) != 1:
         return False
-    return (x in h.hearts.first.heart_ids()
-            and x in h.hearts.second.heart_ids())
+    return (x in h.hearts.first.heart_ids
+            and x in h.hearts.second.heart_ids)
 
 
 def check_integral(h: HeartContext) -> Verdict:
@@ -611,7 +610,7 @@ def _non_integral_certificate(h: HeartContext) -> dict | None:
     the CERT_Z caps, so coverage is bounded."""
     ctx, bounds = h.ctx, h.bounds
     epi_cone = _epi_cone(h)
-    candidates = Obj.multisets(sorted(h.hearts.main.minus_ids()), bounds.mult,
+    candidates = Obj.multisets(sorted(h.hearts.main.minus_ids), bounds.mult,
                                min(bounds.dim_cap, CERT_Z_DIM_CAP), CERT_Z_MAX_SUMMANDS)
     for z in candidates:
         if z.summands_in(h.tp.u.ids):
@@ -698,10 +697,10 @@ def check_abelian(h: HeartContext) -> Verdict:
     """
     bounds = h.bounds
     lhs = frozenset(h.surviving)
-    h1 = h.hearts.first.heart_ids()
-    h2 = h.hearts.second.heart_ids()
+    h1 = h.hearts.first.heart_ids
+    h2 = h.hearts.second.heart_ids
     rhs = (h1 & h2) - h.w_ids
-    taint = h.hearts.tainted_ids()
+    taint = h.hearts.tainted_ids
     sub_notes = []
     if taint:
         sub_notes.append("tainted memberships: "

@@ -19,48 +19,41 @@ from .subcat import (SearchBounds, Subcategory, Verdict, approx_table,
                      approx_witness, inter)
 
 
-class _WitnessTable(Mapping):
-    """An IndecId -> SES table of approximation winners, each realized by
-    `approx_witness` when read.  Not cached in the context, so holding the
-    context makes no reference cycle."""
+class _LazyTable(Mapping):
+    """A table over `keys` whose entry for x is entry(x), built when first
+    read and kept.  Not cached in the context, so holding the context makes
+    no reference cycle."""
 
-    def __init__(self, ctx: CategoryCtx, b_is_third: bool,
-                 partners: Mapping[IndecId, int]):
-        self._ctx, self._b_is_third, self._partners = ctx, b_is_third, partners
-
-    def __getitem__(self, x: IndecId) -> rc.SES:
-        return approx_witness(self._ctx, x, self._b_is_third, self._partners[x])
-
-    def __contains__(self, x) -> bool:
-        return x in self._partners
-
-    def __iter__(self):
-        return iter(self._partners)
-
-    def __len__(self) -> int:
-        return len(self._partners)
-
-
-class _DualTable(Mapping):
-    """An IndecId -> SES table read through D: the entry for x is D of the
-    source entry for D(x), built on first use."""
-
-    def __init__(self, table: Mapping, n: int):
-        self._table, self._n, self._done = table, n, {}
+    def __init__(self, keys, entry):
+        self._keys, self._entry, self._done = keys, entry, {}
 
     def __getitem__(self, x: IndecId) -> rc.SES:
         if x not in self._done:
-            self._done[x] = self._table[x.dual(self._n)].dual()
+            self._done[x] = self._entry(x)
         return self._done[x]
 
     def __contains__(self, x) -> bool:
-        return x.dual(self._n) in self._table
+        return x in self._keys
 
     def __iter__(self):
-        return (x.dual(self._n) for x in self._table)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._keys)
+
+
+def _witness_table(ctx: CategoryCtx, b_is_third: bool,
+                   partners: Mapping[IndecId, int]) -> _LazyTable:
+    """The approximation winners `partners`, each realized by
+    `approx_witness` when read."""
+    return _LazyTable(partners, lambda x: approx_witness(ctx, x, b_is_third,
+                                                         partners[x]))
+
+
+def _dual_table(table: Mapping[IndecId, rc.SES], n: int) -> _LazyTable:
+    """The table read through D: the entry for x is D of the entry of D(x)."""
+    return _LazyTable(tuple(x.dual(n) for x in table),
+                      lambda x: table[x.dual(n)].dual())
 
 
 @dataclass
@@ -110,8 +103,8 @@ def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
                       bounds=bounds, exhaustive=True,
                       notes=(f"approximation conflations witnessed for all "
                              f"{len(ctx.indecs)} indecomposables",))
-    return CotorsionPair(u, v, verdict, _WitnessTable(ctx, True, lwin),
-                         _WitnessTable(ctx, False, rwin))
+    return CotorsionPair(u, v, verdict, _witness_table(ctx, True, lwin),
+                         _witness_table(ctx, False, rwin))
 
 
 @dataclass
@@ -142,7 +135,7 @@ class TwinPair:
         witnesses of a pair into the right ones of its dual and back."""
         def pair(cp):
             return CotorsionPair(cp.v.dual(n), cp.u.dual(n), cp.verdict,
-                                 _DualTable(cp.right, n), _DualTable(cp.left, n))
+                                 _dual_table(cp.right, n), _dual_table(cp.left, n))
         return TwinPair(pair(self.uv), pair(self.st), self.w.dual(n), self.verdict)
 
 
@@ -182,87 +175,71 @@ def verified_twin(ctx: CategoryCtx, subs: Mapping[str, Subcategory],
 
 @dataclass
 class HeartTable:
-    """Indecomposable-level membership for one twin's heart classes."""
+    """Indecomposable-level membership for one heart: the plus class
+    (conflations V -> W -> x, V in add(V), W in the core), the minus class
+    (x -> W -> S, S in add(S)), their witness conflations, and the ids
+    whose non-membership rests on a truncated search."""
 
     core: Subcategory
-    bplus: dict[IndecId, Verdict]
-    bminus: dict[IndecId, Verdict]
     bplus_witness: Mapping[IndecId, rc.SES]
     bminus_witness: Mapping[IndecId, rc.SES]
+    tainted_ids: frozenset[IndecId]
 
-    def plus_ids(self) -> frozenset[IndecId]:
-        return frozenset(x for x, v in self.bplus.items() if v.holds)
-
-    def minus_ids(self) -> frozenset[IndecId]:
-        return frozenset(x for x, v in self.bminus.items() if v.holds)
-
-    def heart_ids(self) -> frozenset[IndecId]:
-        return self.plus_ids() & self.minus_ids()
-
-    def surviving_ids(self) -> frozenset[IndecId]:
-        """Heart members that stay nonzero in the quotient by the core."""
-        return self.heart_ids() - self.core.ids
-
-    def tainted_ids(self) -> frozenset[IndecId]:
-        """Ids whose non-membership rests on a truncated (non-complete) search."""
-        out = set()
-        for x in self.bplus:
-            pv, mv = self.bplus[x], self.bminus[x]
-            if (pv.unknown and not pv.exhaustive) or (mv.unknown and not mv.exhaustive):
-                out.add(x)
-        return frozenset(out)
+    def __post_init__(self):
+        self.plus_ids = frozenset(self.bplus_witness)
+        self.minus_ids = frozenset(self.bminus_witness)
+        self.heart_ids = self.plus_ids & self.minus_ids
+        # heart members that stay nonzero in the quotient by the core
+        self.surviving_ids = self.heart_ids - self.core.ids
 
     def dual(self, n: int) -> "HeartTable":
         """D swaps the plus and minus classes and their witnesses."""
-        def rekey(table):
-            return {x.dual(n): v for x, v in table.items()}
-        return HeartTable(self.core.dual(n), rekey(self.bminus), rekey(self.bplus),
-                          _DualTable(self.bminus_witness, n),
-                          _DualTable(self.bplus_witness, n))
+        return HeartTable(self.core.dual(n), _dual_table(self.bminus_witness, n),
+                          _dual_table(self.bplus_witness, n),
+                          frozenset(x.dual(n) for x in self.tainted_ids))
 
 
-def _heart_table(ctx: CategoryCtx, tp: TwinPair, bounds: SearchBounds) -> HeartTable:
-    """The plus table (conflations V -> W -> x, V in add(V), W in the core)
-    and the minus table (x -> W -> S, S in add(S)), read from the context's
-    approximation tables; their unknown verdicts carry no notes."""
-    pvs, pwin = approx_table(ctx, True, tp.w, tp.v, bounds)
-    mvs, mwin = approx_table(ctx, False, tp.w, tp.s, bounds)
-    return HeartTable(tp.w, dict(zip(ctx.indecs, pvs)), dict(zip(ctx.indecs, mvs)),
-                      _WitnessTable(ctx, True, pwin), _WitnessTable(ctx, False, mwin))
+def _heart_table(ctx: CategoryCtx, core: Subcategory, v: Subcategory,
+                 s: Subcategory, bounds: SearchBounds) -> HeartTable:
+    """The heart table of core W with plus partners in add(v) and minus
+    partners in add(s), read from the context's approximation tables: a
+    table has a winner for an id exactly when its search holds."""
+    pvs, pwin = approx_table(ctx, True, core, v, bounds)
+    mvs, mwin = approx_table(ctx, False, core, s, bounds)
+    # a search that holds is exhaustive, so a search that is not is an
+    # unknown cut short by the dimension cap
+    tainted = frozenset(x for x, pv, mv in zip(ctx.indecs, pvs, mvs)
+                        if not (pv.exhaustive and mv.exhaustive))
+    return HeartTable(core, _witness_table(ctx, True, pwin),
+                      _witness_table(ctx, False, mwin), tainted)
 
 
 @dataclass
 class HeartClasses:
-    """Heart data of a twin plus the hearts of its two single pairs."""
+    """The heart tables of a twin and of its two single pairs."""
 
-    twin: TwinPair
-    bounds: SearchBounds
     main: HeartTable     # core W = U cap T
     first: HeartTable    # heart of (S, T), core S cap T
     second: HeartTable   # heart of (U, V), core U cap V
 
-    def tainted_ids(self) -> frozenset[IndecId]:
-        """Ids tainted in any of the three tables."""
-        return (self.main.tainted_ids() | self.first.tainted_ids()
-                | self.second.tainted_ids())
+    def __post_init__(self):
+        # ids tainted in any of the three tables
+        self.tainted_ids = (self.main.tainted_ids | self.first.tainted_ids
+                            | self.second.tainted_ids)
 
-    def dual(self, twin: TwinPair, n: int) -> "HeartClasses":
-        """Tables of the D-twin `twin`: D swaps the two single-pair hearts."""
-        return HeartClasses(twin, self.bounds, self.main.dual(n),
-                            self.second.dual(n), self.first.dual(n))
-
-
-def degenerate_twin(ctx: CategoryCtx, pair: CotorsionPair) -> TwinPair:
-    """The twin ((U,V),(U,V)) whose heart is the heart of the single pair."""
-    return verify_twin(ctx, pair, pair)
+    def dual(self, n: int) -> "HeartClasses":
+        """The tables of the D-twin: D swaps the two single-pair hearts."""
+        return HeartClasses(self.main.dual(n), self.second.dual(n),
+                            self.first.dual(n))
 
 
 def compute_hearts(ctx: CategoryCtx, tp: TwinPair,
                    bounds: SearchBounds) -> HeartClasses:
-    """Membership tables for the twin's heart and both single-pair hearts."""
+    """Membership tables for the twin's heart and both single-pair hearts;
+    a single pair (X, Y) has core X cap Y."""
     if not tp.verdict.holds:
         raise ValueError("twin pair is not verified")
-    main = _heart_table(ctx, tp, bounds)
-    first = _heart_table(ctx, degenerate_twin(ctx, tp.st), bounds)
-    second = _heart_table(ctx, degenerate_twin(ctx, tp.uv), bounds)
-    return HeartClasses(tp, bounds, main, first, second)
+    return HeartClasses(
+        _heart_table(ctx, tp.w, tp.v, tp.s, bounds),
+        _heart_table(ctx, inter(tp.s, tp.t, name="W"), tp.t, tp.s, bounds),
+        _heart_table(ctx, inter(tp.u, tp.v, name="W"), tp.v, tp.u, bounds))

@@ -73,28 +73,7 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a, p: int) -> int:
-    """Rank by forward elimination only (cheaper than full rref)."""
-    m = asmat(a, p)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        below = r + 1 + np.nonzero(m[r + 1:, c])[0]
-        if below.size:
-            if p == 2:
-                m[below] ^= m[r]
-            else:
-                scale = (m[below, c] * inv_scalar(int(m[r, c]), p)) % p
-                m[below] = (m[below] - np.outer(scale, m[r])) % p
-        r += 1
-    return r
+    return len(rref(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:

@@ -59,10 +59,6 @@ class Subcategory:
     def projectives(ctx: CategoryCtx) -> "Subcategory":
         return Subcategory(frozenset(ctx.projectives), "proj")
 
-    @staticmethod
-    def injectives(ctx: CategoryCtx) -> "Subcategory":
-        return Subcategory(frozenset(ctx.injectives), "inj")
-
     def sorted_ids(self) -> list[IndecId]:
         return sorted(self.ids)
 

@@ -74,7 +74,7 @@ def test_criterion_2_nonintegral_example(tmp_path, capsys):
     bounds = SearchBounds(mult=2, dim_cap=24)
     subs, tp, hearts, h = _pipeline(ctx, "ex-nonintegral", bounds)
     assert tp.verdict.holds
-    assert hearts.main.surviving_ids() == frozenset(
+    assert hearts.main.surviving_ids == frozenset(
         {IndecId(3, 4), IndecId(3, 5), IndecId(4, 4)})
     verdict = check_integral(h)
     assert verdict.fails
@@ -107,7 +107,7 @@ def test_criterion_3_abelian_example(capsys):
     bounds = SearchBounds(mult=2, dim_cap=24)
     subs, tp, hearts, h = _pipeline(ctx, "ex-abelian", bounds)
     assert tp.verdict.holds
-    assert hearts.main.surviving_ids() == frozenset({IndecId(3, 5)})
+    assert hearts.main.surviving_ids == frozenset({IndecId(3, 5)})
     va = check_abelian(h)
     assert va.holds and va.route  # definitive, with the route recorded
     assert "one-simple-object" in va.route
@@ -125,10 +125,10 @@ def test_criterion_4_nonabelian_example(capsys):
     subs, tp, hearts, h = _pipeline(ctx, "ex-nonabelian", bounds)
     assert tp.verdict.holds
     assert tp.w.ids == tp.u.ids == tp.t.ids
-    assert hearts.main.surviving_ids() == frozenset(
+    assert hearts.main.surviving_ids == frozenset(
         {IndecId(3, 4), IndecId(3, 5), IndecId(4, 4), IndecId(4, 5),
          IndecId(5, 5)})
-    assert hearts.first.surviving_ids() == frozenset(
+    assert hearts.first.surviving_ids == frozenset(
         {IndecId(3, 4), IndecId(3, 5), IndecId(5, 5)})
     verdict = check_abelian(h)
     assert verdict.fails
@@ -157,7 +157,7 @@ def test_criterion_5_zero_heart_control(capsys):
     tp = verify_twin(ctx, cp, cp)
     assert tp.verdict.holds
     hearts = compute_hearts(ctx, tp, bounds)
-    assert hearts.main.surviving_ids() == frozenset()
+    assert hearts.main.surviving_ids == frozenset()
     h = heart_context(ctx, tp, hearts, bounds)
     vi, va = check_integral(h), check_abelian(h)
     assert vi.holds and vi.route == "zero-heart"
@@ -183,7 +183,7 @@ def test_criterion_6a_core_identities(suite_setups, capsys):
     started = time.monotonic()
     ctx, bounds, setups = suite_setups
     for name, (subs, tp, hearts, h) in setups.items():
-        heart = hearts.main.heart_ids()
+        heart = hearts.main.heart_ids
         assert heart & tp.u.ids == tp.w.ids, name
         assert heart & tp.t.ids == tp.w.ids, name
     with capsys.disabled():
@@ -207,7 +207,7 @@ def test_criterion_6c_factorization_through_covers(suite_setups, capsys):
     ctx, bounds, setups = suite_setups
     for name, (subs, tp, hearts, h) in setups.items():
         for a, ses in hearts.main.bplus_witness.items():
-            if a not in hearts.main.heart_ids():
+            if a not in hearts.main.heart_ids:
                 continue
             cover = ses.p
             for u in sorted(tp.u.ids):

@@ -115,6 +115,23 @@ def test_pairs_missing_names_are_rejected(ctx):
         ff.parse_pairs(data, ctx)
 
 
+@pytest.mark.parametrize("shape", ["expression", "chain"])
+def test_deeply_nested_pairs_definitions_exit_2(shape, tmp_path, capsys):
+    # an expression 2,000 calls deep, or 3,000 names each defined by the
+    # next, is refused as bad input rather than by a RecursionError
+    if shape == "expression":
+        subs = {"S": "add(" * 2000 + "[3,5]" + ")" * 2000}
+    else:
+        subs = {"S": "N0", **{f"N{k}": f"N{k + 1}" for k in range(2999)},
+                "N2999": []}
+    bad = tmp_path / "deep.json"
+    ff.write_json(bad, {"schema": ff.PAIRS_SCHEMA,
+                        "subcategories": {**subs, "T": [], "U": [], "V": []}})
+    assert main(["check-twin", "--category", CATEGORY, "--pairs", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: subcategory definitions nest too deeply\n")
+
+
 @pytest.mark.parametrize("entry", [
     ["[9,9]"], ["[1,5]"], [5], [[1, 1]], ["T"], "oplus([9,9])", "oplus([3,1])"],
     ids=["not-in-a6", "inadmissible", "int", "list", "unparsable",
@@ -346,6 +363,19 @@ def test_non_object_json_exits_2(where, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["replay", "category", "pairs"])
+def test_deeply_nested_json_exits_2(where, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"replay": ["replay", str(deep)],
+            "category": ["check-twin", "--category", str(deep),
+                         "--pairs", pairs_file("ex-abelian")],
+            "pairs": ["check-twin", "--category", CATEGORY,
+                      "--pairs", str(deep)]}[where]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize("where", ["category", "pairs", "report", "replay", "out"])
 def test_directory_paths_exit_2(where, tmp_path, capsys):
     folder = tmp_path / "folder"
@@ -400,6 +430,25 @@ def test_replay_rejects_non_integer_context_fields(field, value, bad, tmp_path,
     ff.write_json(path, data)
     assert main(["replay", str(path)]) == 4
     assert f"must be an integer, got {bad!r}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key,value", [
+    ("mult", True), ("dim_cap", 24.0), ("mult", 2.5)])
+def test_replay_rejects_non_integer_bounds(key, value, tmp_path, capsys):
+    # the condition-(1) replay recomputes the tables under the stated
+    # bounds, which must be JSON integers like the algebra's numbers
+    report = tmp_path / "abelian.json"
+    assert main(["check-abelian", "--category", CATEGORY, "--pairs",
+                 pairs_file("ex-nonabelian"), "--report", str(report)]) == 1
+    data = ff.read_json(report)
+    assert data["verdict"]["certificate"]["condition"] == 1
+    data["bounds"][key] = value
+    ff.write_json(report, data)
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 4
+    out = capsys.readouterr().out
+    assert "replay: MISMATCH" in out
+    assert f"bounds {key} must be an integer, got {value!r}" in out
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -89,10 +89,10 @@ def test_dual_heart_tables_are_the_image_of_the_heart(ctx, setups):
         h, d = s.hctx, s.hctx.dual()
         assert set(d.surviving) == {x.dual(n) for x in h.surviving}
         assert d.w_ids == {x.dual(n) for x in h.w_ids}
-        assert d.hearts.first.surviving_ids() == \
-            {x.dual(n) for x in h.hearts.second.surviving_ids()}
-        assert d.hearts.second.surviving_ids() == \
-            {x.dual(n) for x in h.hearts.first.surviving_ids()}
+        assert d.hearts.first.surviving_ids == \
+            {x.dual(n) for x in h.hearts.second.surviving_ids}
+        assert d.hearts.second.surviving_ids == \
+            {x.dual(n) for x in h.hearts.first.surviving_ids}
     assert set(setups["ex-nonintegral"].hctx.dual().surviving) == \
         {IndecId(3, 4), IndecId(2, 4), IndecId(3, 3)}
 
@@ -124,8 +124,8 @@ def test_d_twin_verified_from_scratch_reaches_the_same_verdicts(ctx, bounds,
     tp = verify_twin(op, st, uv)
     assert tp.verdict.holds
     hearts = compute_hearts(op, tp, bounds)
-    assert hearts.main.surviving_ids() == {x.dual(n) for x in s.hctx.surviving}
-    assert hearts.main.surviving_ids() == set(s.hctx.dual().surviving)
+    assert hearts.main.surviving_ids == {x.dual(n) for x in s.hctx.surviving}
+    assert hearts.main.surviving_ids == set(s.hctx.dual().surviving)
     fresh = heart_context(op, tp, hearts, bounds)
     for check in (check_integral, check_abelian):
         got, want = check(fresh), check(s.hctx)

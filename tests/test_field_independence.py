@@ -34,7 +34,7 @@ def test_heart_tables_and_verdicts_transfer(p):
         tp = verify_twin(ctx, st, uv)
         assert tp.verdict.holds, (p, name)
         hearts = compute_hearts(ctx, tp, bounds)
-        assert {str(x) for x in hearts.main.surviving_ids()} == \
+        assert {str(x) for x in hearts.main.surviving_ids} == \
             expected_heart[name], (p, name)
         h = heart_context(ctx, tp, hearts, bounds)
         vi, va = check_integral(h), check_abelian(h)

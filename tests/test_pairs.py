@@ -1,13 +1,17 @@
+import hashlib
+import json
+
 import pytest
 
-from cotorsionlab.pairs import (compute_hearts, degenerate_twin,
+from cotorsionlab import pairs
+from cotorsionlab.pairs import (compute_hearts, verified_twin,
                                 verify_cotorsion, verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import (Subcategory, find_left_approx,
                                  find_right_approx)
 from cotorsionlab import repcore as rc
 
-from paper_fixtures import fixture_subcategories
+from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
 
 def test_projectives_against_everything_is_a_cotorsion_pair(ctx, bounds):
@@ -31,14 +35,6 @@ def test_fixture_twins_verify_with_mult_two(setups):
         assert s.st.verdict.holds, name
         assert s.uv.verdict.holds, name
         assert s.tp.verdict.holds, name
-
-
-def test_degenerate_twin_is_valid(ctx, bounds):
-    subs = fixture_subcategories(ctx, "ex-nonintegral")
-    uv = verify_cotorsion(ctx, subs["U"], subs["V"], bounds)
-    tp = degenerate_twin(ctx, uv)
-    assert tp.verdict.holds
-    assert tp.w.ids == (subs["U"].ids & subs["V"].ids)
 
 
 def test_twin_inclusion_failure_names_an_indec(ctx, bounds):
@@ -77,7 +73,7 @@ def test_remark_inclusions_on_all_fixtures(ctx, setups):
 def test_core_identities_on_all_fixtures(setups):
     # H cap U = W = H cap T as id-sets
     for name, s in setups.items():
-        h = s.hearts.main.heart_ids()
+        h = s.hearts.main.heart_ids
         assert h & s.tp.u.ids == s.tp.w.ids, name
         assert h & s.tp.t.ids == s.tp.w.ids, name
 
@@ -98,12 +94,51 @@ EXPECTED_H1_NONABELIAN = _ids((3, 4), (3, 5), (5, 5))
 
 def test_heart_tables_match_expected_sets(setups):
     for name, s in setups.items():
-        assert s.hearts.main.surviving_ids() == EXPECTED_HEART[name], name
-        assert not s.hearts.main.tainted_ids(), name
+        assert s.hearts.main.surviving_ids == EXPECTED_HEART[name], name
+        assert not s.hearts.main.tainted_ids, name
 
 
 def test_h1_table_of_nonabelian_fixture(ex_nonabelian):
-    assert ex_nonabelian.hearts.first.surviving_ids() == EXPECTED_H1_NONABELIAN
+    assert ex_nonabelian.hearts.first.surviving_ids == EXPECTED_H1_NONABELIAN
+
+
+# sha256 of the plus, minus, tainted, heart and surviving ids and the
+# witness key sets of the three heart tables of every census-a5 twin at F_2
+# and of the three fixtures at F_2 and F_3, recorded while each table kept
+# a verdict per indecomposable and the single-pair tables came from
+# re-verified twins ((X, Y), (X, Y))
+HEART_TABLES_SHA256 = (
+    "d9608d97aa95ab8fb0a451f6ad7f85d78ac70d12d8fcbe30c3efb6c107444ccb")
+
+
+def test_heart_tables_are_pinned(census_a5, setups, bounds):
+    def ids(s):
+        return sorted(str(x) for x in s)
+    hearts = [h.hearts for h in census_a5] + [s.hearts for s in setups.values()]
+    ctx3 = paper_context(3)
+    for name in FIXTURES:
+        tp = verified_twin(ctx3, fixture_subcategories(ctx3, name), bounds)
+        hearts.append(compute_hearts(ctx3, tp, bounds))
+    digest = hashlib.sha256()
+    for hs in hearts:
+        record = [[ids(t.plus_ids), ids(t.minus_ids), ids(t.tainted_ids),
+                   ids(t.heart_ids), ids(t.surviving_ids),
+                   ids(t.bplus_witness), ids(t.bminus_witness)]
+                  for t in (hs.main, hs.first, hs.second)]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == HEART_TABLES_SHA256
+
+
+def test_compute_hearts_verifies_no_twin(ctx, bounds, ex_nonabelian, monkeypatch):
+    """The single-pair tables come from their cores directly, not from
+    re-verified twins."""
+    calls = []
+    verify = pairs.verify_twin
+    monkeypatch.setattr(pairs, "verify_twin",
+                        lambda *args: calls.append(args) or verify(*args))
+    hearts = compute_hearts(ctx, ex_nonabelian.tp, bounds)
+    assert calls == []
+    assert hearts.first.surviving_ids == EXPECTED_H1_NONABELIAN
 
 
 def test_membership_trivial_for_core_objects(ctx, bounds, ex_nonintegral):
@@ -147,8 +182,8 @@ def test_zero_heart_control_minus_class_is_projectives(ctx, bounds):
     cp = verify_cotorsion(ctx, proj, Subcategory.everything(ctx), bounds)
     tp = verify_twin(ctx, cp, cp)
     hearts = compute_hearts(ctx, tp, bounds)
-    assert hearts.main.minus_ids() == proj.ids
-    assert hearts.main.surviving_ids() == frozenset()
+    assert hearts.main.minus_ids == proj.ids
+    assert hearts.main.surviving_ids == frozenset()
 
 
 def test_verified_pairs_sit_inside_their_perps(ctx, setups):
@@ -176,7 +211,7 @@ def test_factorization_through_core_covers(ctx, setups):
     for name, s in setups.items():
         hearts = s.hearts
         for a, ses in hearts.main.bplus_witness.items():
-            if a not in hearts.main.heart_ids():
+            if a not in hearts.main.heart_ids:
                 continue
             w = ses.p  # W_A ->> A
             amod = ctx.realize_id(a)
@@ -197,7 +232,7 @@ def test_conflations_with_core_monic_start_keep_minus_class(ctx, bounds, setups)
     # class and A -> B core-monic have B in the minus class too
     from cotorsionlab.heartcat import is_w_monic
     s = setups["ex-nonintegral"]
-    minus = s.hearts.main.minus_ids()
+    minus = s.hearts.main.minus_ids
     checked = 0
     for a in sorted(minus):
         for c in sorted(minus):

@@ -32,11 +32,11 @@ def _ses_matrices(ses):
         [c.tolist() for c in ses.i.comps], [c.tolist() for c in ses.p.comps]]
 
 
-def _table_record(table):
-    return [[str(x), table.bplus[x].payload(), table.bminus[x].payload(),
+def _table_record(ctx, table):
+    return [[str(x), x in table.plus_ids, x in table.minus_ids, x in table.tainted_ids,
              _ses_matrices(table.bplus_witness[x]) if x in table.bplus_witness else None,
              _ses_matrices(table.bminus_witness[x]) if x in table.bminus_witness else None]
-            for x in sorted(table.bplus)]
+            for x in ctx.indecs]
 
 
 def _decide_all(ctx, twins, bounds):
@@ -47,8 +47,8 @@ def _decide_all(ctx, twins, bounds):
         hearts = compute_hearts(ctx, tp, bounds)
         h = heart_context(ctx, tp, hearts, bounds)
         out.append([check_integral(h).payload(), check_abelian(h).payload()]
-                   + [_table_record(t) for t in (hearts.main, hearts.first,
-                                                 hearts.second)])
+                   + [_table_record(ctx, t) for t in (hearts.main, hearts.first,
+                                                      hearts.second)])
     return json.dumps(out, sort_keys=True)
 
 
