@@ -101,6 +101,14 @@ def _num(key: str, value) -> int:
     return value
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object, which a report part must be; a TypeError otherwise,
+    which replay reports as a malformed certificate."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} is not an object")
+    return value
+
+
 def _parse_algebra(data: dict) -> tuple[QuiverPresentation, FieldChar]:
     """The algebra and field of a category file or certificate context;
     every number must be a JSON integer."""
@@ -418,8 +426,10 @@ def dual_certificate(cert: dict) -> dict:
         "conflation": ses(cert["conflation"]),
         f"{dual_tri}_triangles": [{"kind": dual_tri, "conflation": ses(t["conflation"])}
                                   for t in cert[f"{tri}_triangles"]],
-        "heart_witnesses": {obj(x): {_DUAL_NAME[k]: ses(v) for k, v in e.items()}
-                            for x, e in cert["heart_witnesses"].items()},
+        "heart_witnesses": {
+            obj(x): {_DUAL_NAME[k]: ses(v)
+                     for k, v in _object(e, f"heart_witnesses {x}").items()}
+            for x, e in _object(cert["heart_witnesses"], "heart_witnesses").items()},
         "context": {"n": n, "relations": [list(r) for r in pres.op.relations],
                     "field_char": fieldc.p,
                     **{_DUAL_NAME[k]: sorted(obj(x) for x in v)
@@ -444,8 +454,7 @@ def _ids_from_strings(strings) -> frozenset[IndecId]:
 
 
 def _validate_heart_witnesses(ctx, cert_ctx, witnesses: dict, ids) -> None:
-    if not isinstance(witnesses, dict):
-        raise TypeError("heart_witnesses is not an object")
+    _object(witnesses, "heart_witnesses")
     s_ids = _ids_from_strings(cert_ctx["S"])
     v_ids = _ids_from_strings(cert_ctx["V"])
     w_ids = _ids_from_strings(cert_ctx["W"])
@@ -492,14 +501,10 @@ def _replay_triangle(ctx, cert_ctx, witnesses, tri: dict, kind: str,
 def replay_certificate(report: dict) -> list[str]:
     """Revalidate a stored certificate.  Returns human-readable check log;
     raises ReplayFailure on any mismatch."""
-    verdict = report.get("verdict", {})
-    if not isinstance(verdict, dict):
-        raise TypeError("verdict is not an object")
-    cert = verdict.get("certificate")
+    cert = _object(report.get("verdict", {}), "verdict").get("certificate")
     if cert is None:
         raise ReplayFailure("report carries no certificate to replay")
-    if not isinstance(cert, dict):
-        raise TypeError("certificate is not an object")
+    _object(cert, "certificate")
     kind = cert.get("kind")
     log = [f"replaying {kind} certificate"]
     cert_ctx = cert.get("context")
@@ -509,7 +514,7 @@ def replay_certificate(report: dict) -> list[str]:
             "n": cat["n"], "relations": cat["relations"],
             "field_char": cat["field_char"],
         }
-        cert_ctx.update(report.get("subcategories", {}))
+        cert_ctx.update(_object(report.get("subcategories", {}), "subcategories"))
     if kind == "non_integral_dual":
         inner = replay_certificate({"verdict": {"certificate": dual_certificate(
             {**cert, "context": cert_ctx})}})
@@ -582,12 +587,9 @@ def _replay_hearts(ctx: CategoryCtx, report: dict):
     A tainted membership in any of the three tables refuses the replay:
     the decision makes no claim from such tables either."""
     subs = {k: Subcategory(_ids_from_strings(v), k)
-            for k, v in report["subcategories"].items()}
-    raw = report["bounds"]
-    if not isinstance(raw, dict):
-        raise TypeError("bounds is not an object")
-    bounds = SearchBounds(**{key: _num(f"bounds {key}", value)
-                             for key, value in raw.items()})
+            for k, v in _object(report["subcategories"], "subcategories").items()}
+    bounds = SearchBounds(**{key: _num(f"bounds {key}", value) for key, value
+                             in _object(report["bounds"], "bounds").items()})
     tp = verified_twin(ctx, subs, bounds)
     if not tp.verdict.holds:
         raise ReplayFailure("stated twin pair does not verify")

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import repcore as rc
-from .serialcat import CategoryCtx, IndecId
+from .serialcat import CategoryCtx, IndecId, Obj
 from .subcat import (SearchBounds, Subcategory, Verdict, approx_table,
                      approx_witness, inter)
 
@@ -43,11 +43,11 @@ class _LazyTable(Mapping):
 
 
 def _witness_table(ctx: CategoryCtx, b_is_third: bool,
-                   partners: Mapping[IndecId, int]) -> _LazyTable:
-    """The approximation winners `partners`, each realized by
-    `approx_witness` when read."""
-    return _LazyTable(partners, lambda x: approx_witness(ctx, x, b_is_third,
-                                                         partners[x]))
+                   winners: Mapping[IndecId, Obj]) -> _LazyTable:
+    """The approximation winners, each realized by `approx_witness` when
+    read."""
+    return _LazyTable(winners, lambda x: approx_witness(ctx, x, b_is_third,
+                                                        winners[x]))
 
 
 def _dual_table(table: Mapping[IndecId, rc.SES], n: int) -> _LazyTable:
@@ -83,20 +83,15 @@ def verify_cotorsion(ctx: CategoryCtx, u: Subcategory, v: Subcategory,
                                  "u": u.display(), "v": v.display()},
                     bounds=bounds, exhaustive=True)
                 return CotorsionPair(u, v, verdict)
-    lvs, lwin = approx_table(ctx, True, u, v, bounds)
-    rvs, rwin = approx_table(ctx, False, v, u, bounds)
-    unwitnessed = []
-    truncated = False
-    for b, lv, rv in zip(ctx.indecs, lvs, rvs):
-        if not (lv.holds and rv.holds):
-            unwitnessed.append(str(b))
-            truncated = truncated or not (lv.exhaustive and rv.exhaustive)
+    lwin, ltrunc = approx_table(ctx, True, u, v, bounds)
+    rwin, rtrunc = approx_table(ctx, False, v, u, bounds)
+    unwitnessed = [str(b) for b in ctx.indecs if b not in lwin or b not in rwin]
     if unwitnessed:
         verdict = Verdict(
             status="unknown",
             route="approximation search",
             bounds=bounds,
-            exhaustive=not truncated,
+            exhaustive=not (ltrunc or rtrunc),
             notes=("unwitnessed indecomposables: " + ", ".join(unwitnessed),))
         return CotorsionPair(u, v, verdict)
     verdict = Verdict(status="holds", route="orthogonality + approximations",
@@ -203,15 +198,12 @@ def _heart_table(ctx: CategoryCtx, core: Subcategory, v: Subcategory,
                  s: Subcategory, bounds: SearchBounds) -> HeartTable:
     """The heart table of core W with plus partners in add(v) and minus
     partners in add(s), read from the context's approximation tables: a
-    table has a winner for an id exactly when its search holds."""
-    pvs, pwin = approx_table(ctx, True, core, v, bounds)
-    mvs, mwin = approx_table(ctx, False, core, s, bounds)
-    # a search that holds is exhaustive, so a search that is not is an
-    # unknown cut short by the dimension cap
-    tainted = frozenset(x for x, pv, mv in zip(ctx.indecs, pvs, mvs)
-                        if not (pv.exhaustive and mv.exhaustive))
+    table has a winner for an id exactly when its search holds, and an id
+    is tainted when either search was cut short by the dimension cap."""
+    pwin, ptrunc = approx_table(ctx, True, core, v, bounds)
+    mwin, mtrunc = approx_table(ctx, False, core, s, bounds)
     return HeartTable(core, _witness_table(ctx, True, pwin),
-                      _witness_table(ctx, False, mwin), tainted)
+                      _witness_table(ctx, False, mwin), ptrunc | mtrunc)
 
 
 @dataclass

@@ -150,7 +150,6 @@ class CategoryCtx:
             if presentation.admissible(a, b)
         )
         self._index = {x: i for i, x in enumerate(self.indecs)}
-        self._bit = {x: 1 << i for i, x in enumerate(self.indecs)}
         self.projectives: tuple[IndecId, ...] = tuple(sorted(
             IndecId(presentation.proj_bottom(b), b) for b in range(1, presentation.n + 1)))
         self.injectives: tuple[IndecId, ...] = tuple(sorted(
@@ -196,18 +195,6 @@ class CategoryCtx:
     def index(self, x: IndecId) -> int:
         """The position of x in `indecs`."""
         return self._index[self.check_id(x)]
-
-    def mask(self, ids) -> int:
-        """The id set as a bitmask over the positions in `indecs`: a compact
-        cache key."""
-        try:
-            return sum(map(self._bit.__getitem__, ids))
-        except KeyError as e:
-            raise ValueError(self._unknown(e.args[0])) from None
-
-    def unmask(self, mask: int) -> Obj:
-        """The object with one summand per id in the bitmask `mask`."""
-        return Obj(tuple(x for x, bit in self._bit.items() if mask & bit))
 
     def projective_cover_id(self, x: IndecId) -> IndecId:
         return IndecId(self.presentation.proj_bottom(x.b), x.b)

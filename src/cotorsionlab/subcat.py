@@ -11,16 +11,17 @@ summand, so subsets of the ext support with all-ones class coefficients
 cover the whole search space.  Their middle terms have a closed form
 (`CategoryCtx.ones_class_middle`), so a search builds no module; only a
 witness that is read is realized.  A failed search is therefore complete
-(flagged `exhaustive`) unless the dimension cap truncated it.
+unless the dimension cap truncated it: an approximation table is its
+winners and its truncated ids; only `find_*_approx` word a verdict.
 
 Neither kind of search depends on the twin that asks for it, so each
-runs once per category context and key, in `CategoryCtx.cached`.
+runs once per category context and id-set key, in `CategoryCtx.cached`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import repcore as rc
@@ -183,11 +184,10 @@ def _first_split(ctx: CategoryCtx, z: Obj, x: Subcategory, y_holds,
 def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
                 dim_cap: int = 24) -> Verdict:
     """Exact decision of z in X*Y by complete submodule enumeration.  The
-    scan runs once per context and (z, X, Y, dim_cap); each call builds a
-    fresh verdict, so no caller holds a shared payload."""
-    checked, ses = ctx.cached(
-        ("star", z.ids, ctx.mask(x.ids), ctx.mask(y.ids), dim_cap),
-        lambda: _star_scan(ctx, z, x, y, dim_cap))
+    scan runs once per context and (z, X ids, Y ids, dim_cap); each call
+    builds a fresh verdict, so no caller holds a shared payload."""
+    checked, ses = ctx.cached(("star", z.ids, x.ids, y.ids, dim_cap),
+                              lambda: _star_scan(ctx, z, x, y, dim_cap))
     if ses is not None:
         return Verdict(
             status="holds",
@@ -206,6 +206,8 @@ def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
 
 def _star_scan(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
                dim_cap: int) -> tuple[int, rc.SES | None]:
+    for i in x.ids | y.ids:  # a bad id raises before anything is stored
+        ctx.check_id(i)
     checked, ses = _first_split(ctx, z, x, y.contains_obj, dim_cap)
     if ses is not None:
         # the scan order is fixed, so a split found at one position is the
@@ -239,25 +241,26 @@ def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
 
 # -- approximation searches ---------------------------------------------
 
+_SPLIT = Obj()  # the partner of a split conflation, shared by every table
+
 
 def _approx_search(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
                    middle: Subcategory, partner: Subcategory,
-                   bounds: SearchBounds) -> tuple[Verdict, int | None]:
-    """The verdict of the first conflation with b at one end (the third
-    term if b_is_third, else the first), its middle in add(middle) and a
-    partner in add(partner) at the other end, and that partner set as a
-    `ctx.mask` (0 for the split conflation), or None.
+                   bounds: SearchBounds) -> tuple[Obj | None, bool]:
+    """The partner of the first conflation with b at one end (the third
+    term if b_is_third, else the first), its middle in add(middle) and the
+    partner in add(partner) at the other end, or None; and whether the
+    search was complete, which only the dimension cap prevents.
 
     Partners are the subsets of the partner ids with nonzero Ext against
     b, in ascending (dim, lex) order, the empty one (the split conflation)
     first, each with all-ones class coefficients; the middle of each
-    comes from `ones_class_middle`, so no module is built.  The verdict is
-    one of the context's shared ones and carries no notes.
+    comes from `ones_class_middle`, so no module is built.
     """
     fixed = Obj.of(b)
     budget = bounds.dim_cap - fixed.total_dim
     if budget >= 0 and b in middle:
-        return _shared(ctx, "holds", "split", bounds, True), 0
+        return _SPLIT, True
     if b_is_third:
         pool = [y for y in sorted(partner.ids) if ctx.ext_dim(b, y) == 1]
     else:
@@ -265,25 +268,17 @@ def _approx_search(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
     for other in Obj.multisets(pool, 1, budget)[1:]:
         ends = (fixed, other) if b_is_third else (other, fixed)
         if middle.contains_obj(ctx.ones_class_middle(*ends)):
-            return (_shared(ctx, "holds", "extension-class search", bounds, True),
-                    ctx.mask(other.ids))
-    complete = sum(i.dim for i in pool) <= budget
-    return _shared(ctx, "unknown", "extension-class search", bounds, complete), None
-
-
-def _shared(ctx: CategoryCtx, status: str, route: str, bounds: SearchBounds,
-            exhaustive: bool) -> Verdict:
-    """The one verdict without notes of its kind in the context."""
-    return ctx.cached(("verdict", status, route, bounds, exhaustive), lambda: Verdict(
-        status=status, route=route, bounds=bounds, exhaustive=exhaustive))
+            return other, True
+    return None, sum(i.dim for i in pool) <= budget
 
 
 def approx_table(ctx: CategoryCtx, b_is_third: bool, middle: Subcategory,
                  partner: Subcategory, bounds: SearchBounds
-                 ) -> tuple[tuple[Verdict, ...], Mapping[IndecId, int]]:
-    """The verdicts of `_approx_search` for every indecomposable, in
-    `ctx.indecs` order, and the partner set of each winner as a mask,
-    read-only; `approx_witness` realizes a winner's conflation.
+                 ) -> tuple[Mapping[IndecId, Obj], frozenset[IndecId]]:
+    """The winners of `_approx_search` over every indecomposable, read-only,
+    each id mapped to its partner (the zero object for the split
+    conflation), and the ids whose search the dimension cap cut short;
+    `approx_witness` realizes a winner's conflation.
 
     The searches depend on the two id sets and the bounds only, so the
     table is built once per context and key, and every cotorsion pair,
@@ -291,25 +286,27 @@ def approx_table(ctx: CategoryCtx, b_is_third: bool, middle: Subcategory,
     holds no module and no reference to the context.
     """
     def build():
-        verdicts, winners = [], {}
+        for x in middle.ids | partner.ids:  # before anything is stored
+            ctx.check_id(x)
+        winners, truncated = {}, set()
         for b in ctx.indecs:
-            verdict, partners = _approx_search(ctx, b, b_is_third, middle,
-                                               partner, bounds)
-            verdicts.append(verdict)
-            if partners is not None:
-                winners[b] = partners
-        return tuple(verdicts), MappingProxyType(winners)
+            other, complete = _approx_search(ctx, b, b_is_third, middle,
+                                             partner, bounds)
+            if other is not None:
+                winners[b] = other
+            elif not complete:
+                truncated.add(b)
+        return MappingProxyType(winners), frozenset(truncated)
 
-    return ctx.cached(("approx", b_is_third, ctx.mask(middle.ids),
-                       ctx.mask(partner.ids), bounds), build)
+    return ctx.cached(("approx", b_is_third, middle.ids, partner.ids, bounds),
+                      build)
 
 
 def approx_witness(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
-                   partners: int) -> rc.SES:
+                   other: Obj) -> rc.SES:
     """The witness conflation of a table winner: the all-ones class
-    between b and the partner set `partners` (a `ctx.mask`), from
-    `ses_for_class` and so cached there."""
-    other = ctx.unmask(partners)
+    between b and its partner `other`, from `ses_for_class` and so cached
+    there."""
     cells = range(len(other.ids))
     if b_is_third:
         return ctx.ses_for_class(Obj.of(b), other, {(0, j): 1 for j in cells})
@@ -319,13 +316,17 @@ def approx_witness(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
 def _table_entry(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
                  middle: Subcategory, partner: Subcategory,
                  bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
-    """The table entry of b and its witness, an unknown verdict worded by
-    note()."""
-    verdicts, winners = approx_table(ctx, b_is_third, middle, partner, bounds)
-    verdict = verdicts[ctx.index(b)]
-    if verdict.unknown:
-        return replace(verdict, notes=(note(),)), None
-    return verdict, approx_witness(ctx, b, b_is_third, winners[b])
+    """The verdict of b's search and its witness, an unknown verdict worded
+    by note(): the only place an approximation verdict is built."""
+    winners, truncated = approx_table(ctx, b_is_third, middle, partner, bounds)
+    other = winners.get(ctx.check_id(b))
+    if other is None:
+        return Verdict(status="unknown", route="extension-class search",
+                       bounds=bounds, exhaustive=b not in truncated,
+                       notes=(note(),)), None
+    return (Verdict(status="holds", route="extension-class search" if other.ids
+                    else "split", bounds=bounds, exhaustive=True),
+            approx_witness(ctx, b, b_is_third, other))
 
 
 def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,

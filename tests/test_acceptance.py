@@ -224,6 +224,7 @@ def test_criterion_6c_factorization_through_covers(suite_setups, capsys):
         _report("6c (maps from U factor through core covers)", started)
 
 
+@pytest.mark.slow
 def test_criterion_6d_cross_method_agreement(suite_setups, capsys):
     started = time.monotonic()
     ctx, bounds, setups = suite_setups
@@ -316,6 +317,7 @@ def test_criterion_6g_probe_results(suite_setups, capsys):
         _report("6g (pullback probe: counterexample found / none)", started)
 
 
+@pytest.mark.slow
 def test_criterion_6h_decomposition_agreement(capsys):
     started = time.monotonic()
     ctx = paper_context()

@@ -451,6 +451,24 @@ def test_replay_rejects_non_integer_bounds(key, value, tmp_path, capsys):
     assert f"bounds {key} must be an integer, got {value!r}" in out
 
 
+def test_replay_rejects_subcategories_that_are_not_an_object(tmp_path, capsys):
+    # a list of [name, ids] pairs would fill the certificate context, but a
+    # condition-(1) replay reads the report's subcategories by name
+    report = tmp_path / "abelian.json"
+    assert main(["check-abelian", "--category", CATEGORY, "--pairs",
+                 pairs_file("ex-nonabelian"), "--report", str(report)]) == 1
+    data = ff.read_json(report)
+    assert data["verdict"]["certificate"]["condition"] == 1
+    data["subcategories"] = [[k, v] for k, v in data["subcategories"].items()]
+    ff.write_json(report, data)
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 4
+    out, err = capsys.readouterr()
+    assert "replay: MISMATCH" in out
+    assert "subcategories is not an object" in out
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("check-twin", "--bound-mult", "0"),
     ("heart", "--bound-mult", "-1"),
@@ -516,6 +534,15 @@ def _with_certificate(change):
     return data
 
 
+def _dual_with_heart_witnesses(change):
+    """The stored non-integral report with its certificate mapped through
+    D and change(heart witnesses) in place of the dual's heart witnesses."""
+    def dual(cert):
+        d = ff.dual_certificate(cert)
+        return {**d, "heart_witnesses": change(d["heart_witnesses"])}
+    return _with_certificate(dual)
+
+
 @pytest.mark.parametrize("broken,reason", [
     (_without_i_comps, "conflation payload invalid"),
     (lambda: {"verdict": [1]}, "malformed certificate"),
@@ -530,6 +557,10 @@ def _with_certificate(change):
      "malformed certificate"),
     (lambda: _with_certificate(lambda c: {**ff.dual_certificate(c), "z": 5}),
      "malformed certificate"),
+    (lambda: _dual_with_heart_witnesses(lambda w: []),
+     "heart_witnesses is not an object"),
+    (lambda: _dual_with_heart_witnesses(lambda w: {**w, "[3,3]": []}),
+     "heart_witnesses [3,3] is not an object"),
     (lambda: _with_conflation_array("i_comps", lambda a: a[:-1]),
      "conflation payload invalid"),
     (lambda: _with_conflation_array("i_comps", lambda a: a + a[-1:]),
@@ -540,8 +571,9 @@ def _with_certificate(change):
      "conflation payload invalid")],
     ids=["missing-i-comps", "verdict-list", "certificate-list", "z-int",
          "offender-int", "conflation-term-int", "heart-witnesses-list",
-         "dual-z-int", "i-comps-short", "i-comps-long", "first-maps-short",
-         "middle-dims-short"])
+         "dual-z-int", "dual-heart-witnesses-list",
+         "dual-heart-witness-entry-list", "i-comps-short", "i-comps-long",
+         "first-maps-short", "middle-dims-short"])
 def test_replay_rejects_structurally_broken_reports(broken, reason, tmp_path,
                                                     capsys):
     bad = tmp_path / "broken.json"

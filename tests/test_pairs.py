@@ -7,7 +7,7 @@ from cotorsionlab import pairs
 from cotorsionlab.pairs import (compute_hearts, verified_twin,
                                 verify_cotorsion, verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import (Subcategory, find_left_approx,
+from cotorsionlab.subcat import (SearchBounds, Subcategory, find_left_approx,
                                  find_right_approx)
 from cotorsionlab import repcore as rc
 
@@ -59,6 +59,20 @@ def test_corrupted_fixture_is_rejected_with_named_indec(ctx, bounds):
     cp = verify_cotorsion(ctx, subs["U"], v_small, bounds)
     assert not cp.verdict.holds
     assert any("[" in n for n in cp.verdict.notes)
+
+
+def test_unknown_pair_is_exhaustive_unless_a_search_was_cut_short(ctx, bounds):
+    # every search complete: the two ids have no approximation at all
+    subs = fixture_subcategories(ctx, "ex-nonintegral")
+    v_small = Subcategory(subs["V"].ids - {IndecId(2, 2)}, "V'")
+    verdict = verify_cotorsion(ctx, subs["U"], v_small, bounds).verdict
+    assert (verdict.status, verdict.exhaustive, verdict.notes) == (
+        "unknown", True, ("unwitnessed indecomposables: [2,2], [3,5]",))
+    # the dimension cap cuts the search for [2,4] short
+    verdict = verify_cotorsion(ctx, subs["U"], subs["V"],
+                               SearchBounds(dim_cap=4)).verdict
+    assert (verdict.status, verdict.exhaustive, verdict.notes) == (
+        "unknown", False, ("unwitnessed indecomposables: [2,4]",))
 
 
 def test_remark_inclusions_on_all_fixtures(ctx, setups):

@@ -102,6 +102,25 @@ def test_reports_never_mutate_a_memoized_star_witness():
     assert ff.dumps_canonical(report()) == expected
 
 
+_BAD = Subcategory(frozenset({IndecId(3, 3), IndecId(1, 6)}))  # [1,6] is not an id
+_GOOD = Subcategory(frozenset({IndecId(4, 5)}))
+
+
+@pytest.mark.parametrize("search", [
+    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _BAD, _GOOD),
+    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _BAD),
+    lambda ctx: subcat.approx_table(ctx, True, _BAD, _GOOD, SearchBounds()),
+    lambda ctx: subcat.approx_table(ctx, False, _GOOD, _BAD, SearchBounds())],
+    ids=["star-x", "star-y", "approx-middle", "approx-partner"])
+def test_ids_outside_the_algebra_raise_and_are_never_cached(search):
+    ctx = paper_context()
+    star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _GOOD)
+    keys = list(ctx._cache)
+    with pytest.raises(ValueError, match=r"\[1,6\] is not an indecomposable"):
+        search(ctx)
+    assert list(ctx._cache) == keys
+
+
 def test_replay_shares_nothing_with_the_deciding_context(census_a5, monkeypatch):
     ctx = census_a5[0].ctx
     read = set()

@@ -391,8 +391,6 @@ def test_ids_outside_the_algebra_raise_value_error(ctx, bounds):
             with pytest.raises(ValueError, match=r"\[1,6\] is not an indecomposable"):
                 table(x, y)
     with pytest.raises(ValueError, match=r"\[1,6\]"):
-        ctx.mask({good, bad})
-    with pytest.raises(ValueError, match=r"\[1,6\]"):
         find_left_approx(ctx, bad, Subcategory.everything(ctx),
                          Subcategory.everything(ctx), bounds)
     with pytest.raises(ValueError, match=r"\[1,6\]"):
