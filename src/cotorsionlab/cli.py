@@ -150,7 +150,7 @@ def cmd_check_abelian(args) -> int:
 def cmd_probe(args) -> int:
     def decide(ctx, tp, hearts, bounds):
         h = heart_context(ctx, tp, hearts, bounds)
-        return probe_integral_direct(h, bounds, max_squares=args.max_squares), None
+        return probe_integral_direct(h, max_squares=args.max_squares), None
     return _with_hearts(args, "probe", decide)
 
 

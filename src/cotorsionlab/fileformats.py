@@ -2,9 +2,10 @@
 
 All emitted files re-parse to equal values (canonical serialization with
 sorted keys).  Certificates embed every module and matrix they state, so
-`replay` revalidates most of them without a search; condition-1 and
-pullback-square certificates re-run twin verification and the heart
-tables of the stated twin.
+`replay` revalidates triangle certificates without a search.  Pair
+verification, condition-(1) and pullback-square certificates are built
+again by the deciding code from the stated twin and bounds (a square from
+its stated d and b too) and must equal the stated certificate.
 """
 
 from __future__ import annotations
@@ -453,11 +454,9 @@ def _ids_from_strings(strings) -> frozenset[IndecId]:
     return frozenset(IndecId.parse(s) for s in strings)
 
 
-def _validate_heart_witnesses(ctx, cert_ctx, witnesses: dict, ids) -> None:
+def _validate_heart_witnesses(ctx, classes, witnesses: dict, ids) -> None:
     _object(witnesses, "heart_witnesses")
-    s_ids = _ids_from_strings(cert_ctx["S"])
-    v_ids = _ids_from_strings(cert_ctx["V"])
-    w_ids = _ids_from_strings(cert_ctx["W"])
+    s_ids, v_ids, w_ids = classes["S"], classes["V"], classes["W"]
     pres, fieldc = ctx.presentation, ctx.field
     for x in ids:
         entry = witnesses.get(str(x))
@@ -473,8 +472,8 @@ def _validate_heart_witnesses(ctx, cert_ctx, witnesses: dict, ids) -> None:
             raise ReplayFailure(f"bminus witness for {x} violates its id-claims")
 
 
-def _replay_triangle(ctx, cert_ctx, witnesses, tri: dict, kind: str,
-                     w_sub: Subcategory) -> tuple[Obj, Obj, Obj]:
+def _replay_triangle(ctx, classes, witnesses, tri: dict,
+                     kind: str) -> tuple[Obj, Obj, Obj]:
     """Check a stated epi- or mono-triangle and return its three terms: the
     conflation is exact with the stated ids; its free end (the third term
     of an epi-triangle, the first of a mono-triangle) lies in add(U), resp.
@@ -487,14 +486,15 @@ def _replay_triangle(ctx, cert_ctx, witnesses, tri: dict, kind: str,
     f, m, t = _check_ses_ids(ctx, ses, payload)
     epi = kind == "epi"
     free, term, cls = (t, "third", "U") if epi else (f, "first", "T")
-    if not free.summands_in(_ids_from_strings(cert_ctx[cls])):
+    if not free.summands_in(classes[cls]):
         raise ReplayFailure(f"{kind}-triangle {term} term {free} leaves add({cls})")
+    w_sub = Subcategory(classes["W"], "W")
     if epi and not is_w_monic(ctx, ses.i, w_sub):
         raise ReplayFailure("epi-triangle first map is not core-monic")
     if not epi and not is_w_epic(ctx, ses.p, w_sub):
         raise ReplayFailure("mono-triangle deflation is not core-epic")
     heart = f.ids + m.ids if epi else m.ids + t.ids
-    _validate_heart_witnesses(ctx, cert_ctx, witnesses, sorted(set(heart)))
+    _validate_heart_witnesses(ctx, classes, witnesses, sorted(set(heart)))
     return f, m, t
 
 
@@ -522,29 +522,33 @@ def replay_certificate(report: dict) -> list[str]:
                       "the opposite algebra"] + inner[1:]
     pres, fieldc = _parse_algebra(cert_ctx)
     ctx = generate(pres, fieldc)
-    w_ids = _ids_from_strings(cert_ctx["U"]) & _ids_from_strings(cert_ctx["T"])
+    classes = {k: _ids_from_strings(cert_ctx[k]) for k in "STUV"}
+    w_ids = classes["W"] = classes["U"] & classes["T"]
     if "W" in cert_ctx and _ids_from_strings(cert_ctx["W"]) != w_ids:
         raise ReplayFailure("stated core W is not U intersect T")
-    w_sub = Subcategory(w_ids, "W")
+
+    if kind in ("orthogonality", "twin_inclusion"):
+        _rederived(cert, _replay_twin(ctx, classes, report)[0].verdict.certificate,
+                   f"{kind} certificate")
+        log.append("pair verification certificate re-derived from the stated twin")
+        return log
 
     if kind == "non_integral":
-        u_ids = _ids_from_strings(cert_ctx["U"])
-        t_ids = _ids_from_strings(cert_ctx["T"])
         main = ses_from_payload(pres, fieldc, cert["conflation"])
         first, middle, third = _check_ses_ids(ctx, main, cert["conflation"])
         log.append(f"conflation {first} -> {middle} -> {third} is exact")
         z = _obj_from_str(cert["z"])
         if middle != z:
             raise ReplayFailure("conflation middle differs from stated z")
-        if not first.summands_in(t_ids):
+        if not first.summands_in(classes["T"]):
             raise ReplayFailure("conflation first term is not in add(T)")
         offender = IndecId.parse(cert["z_outside_u"])
-        if offender not in set(z.ids) or offender in u_ids:
+        if offender not in set(z.ids) or offender in classes["U"]:
             raise ReplayFailure("stated offending summand is not outside U")
         remaining = list(third.ids)
         for tri in cert["epi_triangles"]:
-            f, m, t = _replay_triangle(ctx, cert_ctx, cert["heart_witnesses"],
-                                       tri, "epi", w_sub)
+            f, m, t = _replay_triangle(ctx, classes, cert["heart_witnesses"],
+                                       tri, "epi")
             for x in t.ids:
                 if x not in remaining:
                     raise ReplayFailure("epi-triangle thirds exceed the quotient")
@@ -552,7 +556,7 @@ def replay_certificate(report: dict) -> list[str]:
             log.append(f"epi-triangle {f} -> {m} -> {t} validated")
         if remaining:
             raise ReplayFailure(f"quotient summands not certified: {remaining}")
-        _validate_heart_witnesses(ctx, cert_ctx, cert["heart_witnesses"],
+        _validate_heart_witnesses(ctx, classes, cert["heart_witnesses"],
                                   sorted(set(z.ids)))
         log.append("heart membership witnesses validated")
         return log
@@ -560,37 +564,48 @@ def replay_certificate(report: dict) -> list[str]:
     if kind == "non_abelian":
         cond = cert.get("condition")
         if cond == 1:
-            return _replay_condition1(ctx, report, cert, log)
+            return _replay_condition1(ctx, classes, report, cert, log)
         if cond in (2, 3):
             # (2): the epi-triangle's third term leaves S+W; (3), its dual:
             # the mono-triangle's first term leaves V+W
             tri, cls = ("epi", "S") if cond == 2 else ("mono", "V")
-            f, _, t = _replay_triangle(ctx, cert_ctx, cert["heart_witnesses"],
-                                       cert[f"{tri}_triangle"], tri, w_sub)
+            f, _, t = _replay_triangle(ctx, classes, cert["heart_witnesses"],
+                                       cert[f"{tri}_triangle"], tri)
             checked = t if cond == 2 else f
             bad = IndecId.parse(cert["offending_summand"])
-            allowed = _ids_from_strings(cert_ctx[cls])
-            if bad not in set(checked.ids) or bad in (allowed | w_ids):
+            if bad not in set(checked.ids) or bad in (classes[cls] | w_ids):
                 raise ReplayFailure(f"offending summand is inside {cls}+W after all")
             log.append(f"condition ({cond}) counterexample validated: {checked}")
             return log
         raise ReplayFailure(f"unknown non-abelian condition {cond!r}")
 
     if kind == "non_integral_square":
-        return _replay_square(ctx, report, cert, log)
+        return _replay_square(ctx, classes, report, cert, log)
 
     raise ReplayFailure(f"unknown certificate kind {kind!r}")
 
 
-def _replay_hearts(ctx: CategoryCtx, report: dict):
-    """(twin, hearts, bounds) of the report's subcategories, recomputed.
-    A tainted membership in any of the three tables refuses the replay:
-    the decision makes no claim from such tables either."""
-    subs = {k: Subcategory(_ids_from_strings(v), k)
-            for k, v in _object(report["subcategories"], "subcategories").items()}
+def _rederived(cert: dict, rebuilt: dict | None, what: str) -> None:
+    """Where replay can run the deciding code again, the certificate that
+    code builds must be the stated one."""
+    if rebuilt != cert:
+        raise ReplayFailure(f"stated {what} differs from the one rebuilt")
+
+
+def _replay_twin(ctx: CategoryCtx, classes: dict, report: dict):
+    """(twin, bounds): the stated twin, verified again under the report's
+    bounds."""
     bounds = SearchBounds(**{key: _num(f"bounds {key}", value) for key, value
                              in _object(report["bounds"], "bounds").items()})
-    tp = verified_twin(ctx, subs, bounds)
+    subs = {k: Subcategory(classes[k], k) for k in "STUV"}
+    return verified_twin(ctx, subs, bounds), bounds
+
+
+def _replay_hearts(ctx: CategoryCtx, classes: dict, report: dict):
+    """(twin, hearts, bounds) of the stated twin, recomputed.  A tainted
+    membership in any of the three tables refuses the replay: the decision
+    makes no claim from such tables either."""
+    tp, bounds = _replay_twin(ctx, classes, report)
     if not tp.verdict.holds:
         raise ReplayFailure("stated twin pair does not verify")
     hearts = compute_hearts(ctx, tp, bounds)
@@ -602,52 +617,42 @@ def _replay_hearts(ctx: CategoryCtx, report: dict):
     return tp, hearts, bounds
 
 
-def _replay_condition1(ctx: CategoryCtx, report: dict, cert: dict,
-                       log: list[str]) -> list[str]:
-    """Re-run the complete reduced membership searches for the named
-    witnesses only (deterministic, a few milliseconds)."""
-    _, hearts, _ = _replay_hearts(ctx, report)
-    lhs = hearts.main.surviving_ids
-    h1 = hearts.first.heart_ids
-    h2 = hearts.second.heart_ids
-    for s in cert["in_heart_not_in_h1"]:
-        x = IndecId.parse(s)
-        if x not in lhs or x in h1:
-            raise ReplayFailure(f"witness {s} is not in heart-minus-H1")
-    for s in cert["in_heart_not_in_h2"]:
-        x = IndecId.parse(s)
-        if x not in lhs or x in h2:
-            raise ReplayFailure(f"witness {s} is not in heart-minus-H2")
-    for s in cert["in_h1_and_h2_not_in_heart"]:
-        x = IndecId.parse(s)
-        if x in lhs or x not in (h1 & h2):
-            raise ReplayFailure(f"witness {s} is not in (H1 cap H2) minus heart")
-    if not (cert["in_heart_not_in_h1"] or cert["in_heart_not_in_h2"]
-            or cert["in_h1_and_h2_not_in_heart"]):
-        raise ReplayFailure("condition (1) certificate names no witness")
+def _replay_condition1(ctx: CategoryCtx, classes: dict, report: dict,
+                       cert: dict, log: list[str]) -> list[str]:
+    """check_abelian's certificate from the recomputed tables."""
+    from .heartcat import condition1_certificate  # local: avoids cycle
+
+    _, hearts, _ = _replay_hearts(ctx, classes, report)
+    _rederived(cert, condition1_certificate(hearts), "condition (1) certificate")
     log.append("condition (1) witnesses validated against recomputed tables")
     return log
 
 
-def _replay_square(ctx: CategoryCtx, report: dict, cert: dict,
+def _replay_square(ctx: CategoryCtx, classes: dict, report: dict, cert: dict,
                    log: list[str]) -> list[str]:
-    from .heartcat import (HeartMorphism, heart_context, is_epi_in_heart)
+    """An epi d, and the probe's square from the stated d and b."""
+    from .heartcat import (HeartMorphism, heart_context, is_epi_in_heart,
+                           pullback_square)
 
-    h = heart_context(ctx, *_replay_hearts(ctx, report))
+    h = heart_context(ctx, *_replay_hearts(ctx, classes, report))
 
-    def hm(payload):
+    def hm(key):
+        payload = cert[key]
         src = _obj_from_str(payload["src"])
         dst = _obj_from_str(payload["dst"])
+        if not (src.summands_in(h.heart_ids) and dst.summands_in(h.heart_ids)):
+            raise ReplayFailure(f"square map {key} ({src} -> {dst}) leaves the "
+                                f"recomputed heart")
         with _decoding("square map"):
             mor = _morphism_from_payload(ctx.realize(src), ctx.realize(dst),
                                          payload["comps"])
         return HeartMorphism(h, src, dst, mor)
 
-    d = hm(cert["d_epi"])
+    d, b, _ = hm("d_epi"), hm("b"), hm("leg_to_B")
+    if b.dst != d.dst:
+        raise ReplayFailure("b and d_epi end at different objects")
     if not is_epi_in_heart(d):
         raise ReplayFailure("stated epi d is not an epi in the heart")
-    leg = hm(cert["leg_to_B"])
-    if is_epi_in_heart(leg):
-        raise ReplayFailure("pullback leg is an epi after all")
+    _rederived(cert, pullback_square(h, b, d), "pullback square of d_epi along b")
     log.append("pullback square counterexample validated")
     return log

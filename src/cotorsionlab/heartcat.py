@@ -684,6 +684,22 @@ def _condition_verdict(h: HeartContext, cond: int) -> Verdict | None:
                    certificate=cert, bounds=h.bounds)
 
 
+def condition1_certificate(hearts: HeartClasses) -> dict | None:
+    """The certificate against abelian condition (1), from the three heart
+    tables: the ids where the heart modulo the core W differs from
+    (H1 cap H2) - W.  None when the two agree."""
+    w, lhs = hearts.main.core.ids, hearts.main.surviving_ids
+    h1, h2 = hearts.first.heart_ids, hearts.second.heart_ids
+    rhs = (h1 & h2) - w
+    if lhs == rhs:
+        return None
+    named = {"in_heart_not_in_h1": lhs - h1, "in_heart_not_in_h2": lhs - h2,
+             "in_h1_and_h2_not_in_heart": rhs - lhs, "heart": lhs,
+             "h1_surviving": h1 - w, "h2_surviving": h2 - w}
+    return {"kind": "non_abelian", "condition": 1,
+            **{k: [str(x) for x in sorted(v)] for k, v in named.items()}}
+
+
 def check_abelian(h: HeartContext) -> Verdict:
     """Decision ladder for abelianness of the heart.
 
@@ -696,27 +712,14 @@ def check_abelian(h: HeartContext) -> Verdict:
     counterexample.  Holds requires a theorem route.
     """
     bounds = h.bounds
-    lhs = frozenset(h.surviving)
-    h1 = h.hearts.first.heart_ids
-    h2 = h.hearts.second.heart_ids
-    rhs = (h1 & h2) - h.w_ids
+    cert = condition1_certificate(h.hearts)
     taint = h.hearts.tainted_ids
     sub_notes = []
     if taint:
         sub_notes.append("tainted memberships: "
                          + ", ".join(str(x) for x in sorted(taint)))
 
-    if lhs != rhs and not taint:
-        cert = {
-            "kind": "non_abelian",
-            "condition": 1,
-            "in_heart_not_in_h1": [str(x) for x in sorted(lhs - h1)],
-            "in_heart_not_in_h2": [str(x) for x in sorted(lhs - h2)],
-            "in_h1_and_h2_not_in_heart": [str(x) for x in sorted(rhs - lhs)],
-            "heart": [str(x) for x in sorted(lhs)],
-            "h1_surviving": [str(x) for x in sorted(h1 - h.w_ids)],
-            "h2_surviving": [str(x) for x in sorted(h2 - h.w_ids)],
-        }
+    if cert is not None and not taint:
         return Verdict(status="fails",
                        route="condition (1): heart vs intersection of "
                              "single-pair hearts",
@@ -751,7 +754,7 @@ def check_abelian(h: HeartContext) -> Verdict:
         return Verdict(status="fails", route="not integral",
                        certificate=integral.certificate, bounds=bounds,
                        notes=("abelian categories are integral",))
-    sub_notes.append(f"condition (1) {'holds' if lhs == rhs else 'undecided'}")
+    sub_notes.append(f"condition (1) {'holds' if cert is None else 'undecided'}")
     sub_notes.append("conditions (2), (3): no counterexample within bounds")
     sub_notes.append(f"integrality: {integral.status} ({integral.route})")
     return Verdict(status="unknown", route="conditions undecided within bounds",
@@ -761,70 +764,60 @@ def check_abelian(h: HeartContext) -> Verdict:
 # -- direct pullback probe -------------------------------------------------
 
 
-def probe_integral_direct(h: HeartContext, bounds: SearchBounds | None = None,
-                          max_squares: int = 20000) -> Verdict:
-    """Exhaustive pullback probe: for epis d: C -> D and arbitrary
-    b: B -> D among heart objects within bounds, the pullback leg toward B
-    must stay epi.  Fails with the explicit square on a counterexample;
-    never claims a universal Holds."""
-    bounds = bounds or h.bounds
+def pullback_square(h: HeartContext, b: HeartMorphism,
+                    d: HeartMorphism) -> dict | None:
+    """The non_integral_square certificate of the pullback of d: C -> D
+    along b: B -> D, or None when its leg to B is epi or the pullback is
+    tainted.  The pullback is the heart kernel of (b, -d): B + C -> D."""
     ctx = h.ctx
-    p = ctx.field.p
+    parts = [ctx.realize(b.src), ctx.realize(d.src)]
+    big = rc.direct_sum(parts, ctx.presentation, ctx.field)
+    comb = rc.block_morphism(big, ctx.realize(d.dst), parts, [ctx.realize(d.dst)],
+                             {(0, 0): b.mor, (0, 1): d.mor.scale(ctx.field.p - 1)})
+    bcobj, fwd, _ = ctx.canonical_iso_from(big)
+    kobj, kmor, notes = kernel_in_heart(HeartMorphism(h, bcobj, d.dst, fwd.then(comb)))
+    if notes:
+        return None
+    # the first row block of kmor . fwd: K -> B + C
+    rows = rc.layout(ctx.presentation.n, (m.dims for m in parts))[1][0]
+    leg = HeartMorphism(h, kobj, b.src, rc.Morphism._make(
+        kmor.mor.source, parts[0], kmor.mor.then(fwd).block[rows]))
+    if is_epi_in_heart(leg):
+        return None
+    return {"kind": "non_integral_square", "B": str(b.src), "C": str(d.src),
+            "D": str(d.dst), "d_epi": d.payload(), "b": b.payload(),
+            "pullback_vertex": str(kobj), "leg_to_B": leg.payload()}
+
+
+def probe_integral_direct(h: HeartContext, max_squares: int = 20000) -> Verdict:
+    """Exhaustive pullback probe: for epis d: C -> D and arbitrary
+    b: B -> D among heart objects within h.bounds, the pullback leg toward
+    B must stay epi.  Hom spaces of more than 2^14 maps are skipped.  Fails
+    with the explicit square on a counterexample; never claims a universal
+    Holds."""
+    bounds, p = h.bounds, h.ctx.field.p
     objs = Obj.multisets(h.surviving, bounds.mult, bounds.dim_cap)[1:]
-    squares = 0
-    for dobj in objs:
-        for cobj in objs:
-            basis_cd = h.hom_basis(cobj, dobj)
-            if not basis_cd or len(basis_cd) * np.log2(p) > 14:
-                continue
-            for coeffs in product(range(p), repeat=len(basis_cd)):
-                if not any(coeffs):
-                    continue
-                d = heart_morphism_from_coeffs(h, cobj, dobj, coeffs)
-                if not is_epi_in_heart(d):
-                    continue
-                for bobj in objs:
-                    basis_bd = h.hom_basis(bobj, dobj)
-                    if len(basis_bd) * np.log2(p) > 14:
-                        continue
-                    for bco in product(range(p), repeat=len(basis_bd)):
-                        squares += 1
-                        if squares > max_squares:
-                            return Verdict(
-                                status="unknown", route="square budget exhausted",
-                                bounds=bounds,
-                                notes=(f"checked {max_squares} squares",))
-                        b = heart_morphism_from_coeffs(h, bobj, dobj, bco)
-                        # the map (b, -d): B + C -> D, then its heart kernel
-                        parts = [ctx.realize(bobj), ctx.realize(cobj)]
-                        big = rc.direct_sum(parts, ctx.presentation, ctx.field)
-                        comb = rc.block_morphism(
-                            big, ctx.realize(dobj), parts, [ctx.realize(dobj)],
-                            {(0, 0): b.mor, (0, 1): d.mor.scale(p - 1)})
-                        bcobj, fwd, _ = ctx.canonical_iso_from(big)
-                        hm = HeartMorphism(h, bcobj, dobj, fwd.then(comb))
-                        kobj, kmor, notes = kernel_in_heart(hm)
-                        if notes:
-                            continue
-                        # the first row block of kmor . fwd: K -> B + C
-                        rows = rc.layout(ctx.presentation.n, (m.dims for m in parts))[1][0]
-                        leg = HeartMorphism(h, kobj, bobj, rc.Morphism._make(
-                            kmor.mor.source, parts[0],
-                            kmor.mor.then(fwd).block[rows]))
-                        if not is_epi_in_heart(leg):
-                            cert = {
-                                "kind": "non_integral_square",
-                                "B": str(bobj), "C": str(cobj), "D": str(dobj),
-                                "d_epi": d.payload(), "b": b.payload(),
-                                "pullback_vertex": str(kobj),
-                                "leg_to_B": leg.payload(),
-                            }
-                            return Verdict(status="fails",
-                                           route="pullback square probe",
-                                           certificate=cert, bounds=bounds)
+
+    def maps(a, b):
+        n = len(h.hom_basis(a, b))
+        coeffs = product(range(p), repeat=n) if n * np.log2(p) <= 14 else ()
+        return (heart_morphism_from_coeffs(h, a, b, c) for c in coeffs)
+
+    squares = ((d, b) for dobj, cobj in product(objs, objs)
+               for d in maps(cobj, dobj) if not d.mor.is_zero() and is_epi_in_heart(d)
+               for bobj in objs for b in maps(bobj, dobj))
+    count = 0
+    for count, (d, b) in enumerate(squares, 1):
+        if count > max_squares:
+            return Verdict(status="unknown", route="square budget exhausted",
+                           bounds=bounds, notes=(f"checked {max_squares} squares",))
+        cert = pullback_square(h, b, d)
+        if cert is not None:
+            return Verdict(status="fails", route="pullback square probe",
+                           certificate=cert, bounds=bounds)
     return Verdict(status="unknown",
                    route="no counterexample square within bounds",
-                   bounds=bounds, notes=(f"checked {squares} squares",))
+                   bounds=bounds, notes=(f"checked {count} squares",))
 
 
 def heart_context(ctx: CategoryCtx, tp: TwinPair, hearts: HeartClasses,

@@ -309,9 +309,13 @@ def test_criterion_6g_probe_results(suite_setups, capsys):
     started = time.monotonic()
     ctx, bounds, setups = suite_setups
     b1 = SearchBounds(mult=1, dim_cap=24)
-    bad = probe_integral_direct(setups["ex-nonintegral"][3], b1)
+
+    def probe(name):
+        _, tp, hearts, _ = setups[name]
+        return probe_integral_direct(heart_context(ctx, tp, hearts, b1))
+    bad = probe("ex-nonintegral")
     assert bad.fails
-    clean = probe_integral_direct(setups["ex-abelian"][3], b1)
+    clean = probe("ex-abelian")
     assert clean.unknown and "no counterexample" in clean.route
     with capsys.disabled():
         _report("6g (pullback probe: counterexample found / none)", started)

@@ -1,12 +1,15 @@
 import ast
+import copy
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cotorsionlab import fileformats as ff
+from cotorsionlab import repcore as rc
 from cotorsionlab.cli import main
-from cotorsionlab.serialcat import IndecId
+from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import SearchBounds
 
 from paper_fixtures import FIXDIR, fixture_subcategories
@@ -594,33 +597,166 @@ def test_replay_rejects_wrong_id_claims(tmp_path, capsys):
     assert main(["replay", str(bad)]) == 4
 
 
-def test_replay_of_condition1_certificate(tmp_path, capsys):
-    report = tmp_path / "abelian.json"
-    main(["check-abelian", "--category", CATEGORY,
-          "--pairs", pairs_file("ex-nonabelian"), "--report", str(report)])
-    capsys.readouterr()
-    assert main(["replay", str(report)]) == 0
+@pytest.fixture(scope="module")
+def decided(tmp_path_factory):
+    """decided(argv) -> the report of `argv --report <file>`, which must
+    exit 1; each report is made once per module."""
+    where = tmp_path_factory.mktemp("decided")
+    made = {}
+
+    def run(*argv):
+        if argv not in made:
+            report = where / f"report-{len(made)}.json"
+            assert main([*argv, "--report", str(report)]) == 1, argv
+            made[argv] = ff.read_json(report)
+        return made[argv]
+    return run
 
 
-def test_replay_of_probe_certificate(tmp_path, capsys):
-    report = tmp_path / "probe.json"
-    main(["probe", "--category", CATEGORY,
-          "--pairs", pairs_file("ex-nonintegral"), "--bound-mult", "1",
-          "--report", str(report)])
+def _category_at(p, tmp_path_factory):
+    category = tmp_path_factory.getbasetemp() / f"a6-f{p}.category.json"
+    ff.write_json(category, {**ff.read_json(CATEGORY), "field_char": p})
+    return str(category)
+
+
+@pytest.fixture(scope="module")
+def square(decided, tmp_path_factory):
+    """square(p) -> the ex-nonintegral probe report at F_p."""
+    return lambda p: decided("probe", "--category", _category_at(p, tmp_path_factory),
+                             "--pairs", pairs_file("ex-nonintegral"),
+                             "--bound-mult", "1")
+
+
+@pytest.fixture(scope="module")
+def condition1(decided):
+    """The ex-nonabelian check-abelian report, a condition-(1) fails."""
+    return decided("check-abelian", "--category", CATEGORY,
+                   "--pairs", pairs_file("ex-nonabelian"))
+
+
+def _replays(data, tmp_path, capsys) -> tuple[int, str]:
+    path = tmp_path / "replayed.json"
+    ff.write_json(path, data)
     capsys.readouterr()
-    assert main(["replay", str(report)]) == 0
+    code = main(["replay", str(path)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    return code, out
+
+
+def test_replay_of_condition1_certificate(condition1, tmp_path, capsys):
+    assert condition1["verdict"]["certificate"]["condition"] == 1
+    assert _replays(condition1, tmp_path, capsys)[0] == 0
+
+
+def test_replay_of_probe_certificate(square, tmp_path, capsys):
+    for p in (2, 3):
+        assert _replays(square(p), tmp_path, capsys)[0] == 0, p
     # square maps with a vertex component too few or too many
     for key, change in (("d_epi", lambda a: a[:-1]), ("leg_to_B", lambda a: a + a[-1:])):
-        data = ff.read_json(report)
-        comps = data["verdict"]["certificate"][key]["comps"]
-        data["verdict"]["certificate"][key]["comps"] = change(comps)
-        bad = tmp_path / f"probe-{key}.json"
-        ff.write_json(bad, data)
-        capsys.readouterr()
-        assert main(["replay", str(bad)]) == 4, key
-        out = capsys.readouterr().out
+        data = _with(square(2), key, lambda m: {**m, "comps": change(m["comps"])})
+        code, out = _replays(data, tmp_path, capsys)
+        assert code == 4, key
         assert "replay: MISMATCH" in out
         assert "square map payload invalid" in out, key
+
+
+def _map_payload(ctx, src: str, dst: str, mor=None) -> dict:
+    """A square map src -> dst: mor, or else the identity of src."""
+    if mor is None:
+        mor = rc.identity(ctx.realize(Obj.of(IndecId.parse(src))))
+    return {"src": src, "dst": dst, "comps": [c.tolist() for c in mor.comps]}
+
+
+def _with(report, key, change):
+    """A copy of report whose certificate has change(value) at key."""
+    data = copy.deepcopy(report)
+    cert = data["verdict"]["certificate"]
+    cert[key] = change(cert[key])
+    return data
+
+
+def _zeroed(m):
+    return {**m, "comps": [np.zeros_like(np.array(c, dtype=int)).tolist()
+                           for c in m["comps"]]}
+
+
+def _abelian_square(ctx):
+    """A square against ex-abelian, whose heart is abelian, hence
+    integral: d and b the identity of [3,5], pullback vertex 0."""
+    x = ctx.realize(Obj.of(IndecId(3, 5)))
+    ident = _map_payload(ctx, "[3,5]", "[3,5]")
+    cert = {"kind": "non_integral_square", "B": "[3,5]", "C": "[3,5]",
+            "D": "[3,5]", "d_epi": ident, "b": ident, "pullback_vertex": "0",
+            "leg_to_B": _map_payload(ctx, "0", "[3,5]", rc.zero_morphism(
+                ctx.realize(Obj(())), x))}
+    return ff.report_payload(
+        "probe", {"status": "fails", "certificate": cert}, ctx.presentation,
+        ctx.field, fixture_subcategories(ctx, "ex-abelian"),
+        SearchBounds(mult=1), 0, 0.0)
+
+
+SQUARE_DIFFERS = "stated pullback square of d_epi along b differs"
+CONDITION1_DIFFERS = "stated condition (1) certificate differs"
+
+
+# forged certificates that replay used to accept; each is built by
+# forge(ctx, the F_2 square report, the condition-(1) report)
+@pytest.mark.parametrize("forge,reason", [
+    (lambda ctx, sq, c1: _with(sq, "b", _zeroed), SQUARE_DIFFERS),
+    (lambda ctx, sq, c1: _with(sq, "leg_to_B", _zeroed), SQUARE_DIFFERS),
+    (lambda ctx, sq, c1: _abelian_square(ctx), SQUARE_DIFFERS),
+    (lambda ctx, sq, c1: _with(sq, "d_epi", lambda m: _map_payload(ctx, "[1,1]", "[1,1]")),
+     "square map d_epi ([1,1] -> [1,1]) leaves the recomputed heart"),
+    (lambda ctx, sq, c1: _with(sq, "b", lambda m: _map_payload(ctx, "[4,4]", "[4,4]")),
+     "b and d_epi end at different objects"),
+    (lambda ctx, sq, c1: _with(c1, "heart", lambda v: ["[1,1]"]), CONDITION1_DIFFERS),
+    (lambda ctx, sq, c1: _with(c1, "h1_surviving", lambda v: []), CONDITION1_DIFFERS),
+    (lambda ctx, sq, c1: _with(c1, "in_heart_not_in_h1", lambda v: v[:1]),
+     CONDITION1_DIFFERS)],
+    ids=["square-b-zeroed", "square-leg-zeroed", "square-on-abelian-heart",
+         "square-d-off-the-heart", "square-b-off-d", "condition1-heart", "condition1-h1",
+         "condition1-cut-witnesses"])
+def test_replay_rederives_square_and_condition1(forge, reason, ctx, square,
+                                                condition1, tmp_path, capsys):
+    data = forge(ctx, square(2), condition1)
+    code, out = _replays(data, tmp_path, capsys)
+    assert code == 4
+    assert "replay: MISMATCH" in out
+    assert reason in out
+
+
+def _swapped_pairs(tmp_path, name, swap):
+    data = ff.read_json(pairs_file(name))
+    subs = data["subcategories"]
+    data["subcategories"] = {swap.get(k, k): v for k, v in subs.items()}
+    path = tmp_path / "swapped.pairs.json"
+    ff.write_json(path, data)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,swap,kind", [
+    ("check-twin", {"S": "T", "T": "S"}, "orthogonality"),
+    ("check-integral", {"S": "T", "T": "S"}, "orthogonality"),
+    ("check-abelian", {"S": "U", "T": "V", "U": "S", "V": "T"}, "twin_inclusion")],
+    ids=["twin-orthogonality", "integral-orthogonality", "abelian-twin-inclusion"])
+def test_pair_verification_failures_replay(command, swap, kind, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main([command, "--category", CATEGORY,
+                 "--pairs", _swapped_pairs(tmp_path, "ex-nonintegral", swap),
+                 "--report", str(report)]) == 1
+    data = ff.read_json(report)
+    cert = data["verdict"]["certificate"]
+    assert cert["kind"] == kind
+    if kind == "twin_inclusion":
+        assert cert["outside_u"] == ["[4,5]", "[4,6]", "[5,5]"]
+    code, out = _replays(data, tmp_path, capsys)
+    assert code == 0, out
+    assert "certificate accepted" in out
+    # the same kind of certificate, naming a different pair, is refused
+    key = "ext_nonzero" if kind == "orthogonality" else "outside_u"
+    code, out = _replays(_with(data, key, lambda v: v[:1]), tmp_path, capsys)
+    assert code == 4 and "replay: MISMATCH" in out
 
 
 def test_regen_script_output_matches_repo_fixtures(tmp_path):

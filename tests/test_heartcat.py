@@ -550,8 +550,14 @@ def test_nonabelian_conditions_two_and_three_have_no_counterexample(ex_nonabelia
 
 # ---- the direct probe -------------------------------------------------------------
 
+def _mult1(setup):
+    """The setup's heart with the probe's search bounds, multiplicity 1."""
+    return heart_context(setup.hctx.ctx, setup.tp, setup.hearts,
+                         SearchBounds(mult=1))
+
+
 def test_probe_finds_bad_square_on_nonintegral(ex_nonintegral):
-    v = probe_integral_direct(ex_nonintegral.hctx, SearchBounds(mult=1))
+    v = probe_integral_direct(_mult1(ex_nonintegral))
     assert v.fails
     cert = v.certificate
     assert cert["kind"] == "non_integral_square"
@@ -559,7 +565,7 @@ def test_probe_finds_bad_square_on_nonintegral(ex_nonintegral):
 
 
 def test_probe_finds_nothing_on_abelian(ex_abelian):
-    v = probe_integral_direct(ex_abelian.hctx, SearchBounds(mult=1))
+    v = probe_integral_direct(_mult1(ex_abelian))
     assert v.unknown
     assert "no counterexample" in v.route
 
@@ -567,4 +573,4 @@ def test_probe_finds_nothing_on_abelian(ex_abelian):
 def test_probe_consistency_with_check_integral(ex_nonintegral):
     # a failing integrality check must come with a failing probe
     assert check_integral(ex_nonintegral.hctx).fails
-    assert probe_integral_direct(ex_nonintegral.hctx, SearchBounds(mult=1)).fails
+    assert probe_integral_direct(_mult1(ex_nonintegral)).fails
