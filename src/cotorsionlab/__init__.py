@@ -4,9 +4,8 @@ algebras, with machine-checkable integrality/abelianness certificates."""
 from .repcore import (EnumerationRefusedError, FieldChar, Module, Morphism,
                       QuiverPresentation, SES)
 from .serialcat import CategoryCtx, IndecId, Obj, generate
-from .subcat import (SearchBounds, Subcategory, Verdict, find_left_approx,
-                     find_right_approx, inter, left_perp, oplus, right_perp,
-                     star_member, subcat_in_star)
+from .subcat import (SearchBounds, Subcategory, Verdict, inter, left_perp,
+                     oplus, right_perp, star_member, subcat_in_star)
 from .pairs import (CotorsionPair, HeartClasses, TwinPair, compute_hearts,
                     verified_twin, verify_cotorsion, verify_twin)
 from .heartcat import (HeartContext, HeartMorphism, check_abelian,

@@ -16,7 +16,7 @@ from . import fileformats as ff
 from .pairs import compute_hearts, verified_twin
 from .repcore import FieldChar, QuiverPresentation
 from .serialcat import generate as generate_ctx
-from .subcat import SearchBounds, Verdict, inter, ses_payload
+from .subcat import SearchBounds, Verdict, inter
 from .heartcat import (check_abelian, check_integral, heart_context,
                        probe_integral_direct)
 
@@ -94,10 +94,10 @@ def cmd_check_twin(args) -> int:
         for b in ctx.indecs:
             dump.append({
                 "indec": str(b),
-                "st_left": ses_payload(ctx, tp.st.left[b]),
-                "st_right": ses_payload(ctx, tp.st.right[b]),
-                "uv_left": ses_payload(ctx, tp.uv.left[b]),
-                "uv_right": ses_payload(ctx, tp.uv.right[b]),
+                "st_left": ff.ses_payload(ctx, tp.st.left[b]),
+                "st_right": ff.ses_payload(ctx, tp.st.right[b]),
+                "uv_left": ff.ses_payload(ctx, tp.uv.left[b]),
+                "uv_right": ff.ses_payload(ctx, tp.uv.right[b]),
             })
         verdict = Verdict(status="holds", route=verdict.route,
                           witnesses=tuple(dump), bounds=bounds,

@@ -24,8 +24,7 @@ from . import repcore as rc
 from .pairs import compute_hearts, verified_twin
 from .repcore import FieldChar, QuiverPresentation
 from .serialcat import CategoryCtx, IndecId, Obj, generate
-from .subcat import (SearchBounds, Subcategory, left_perp, right_perp,
-                     ses_payload)
+from .subcat import SearchBounds, Subcategory, left_perp, right_perp
 
 CATEGORY_SCHEMA = "cotorsionlab/category/v1"
 PAIRS_SCHEMA = "cotorsionlab/pairs/v1"
@@ -374,6 +373,24 @@ def _module_from_payload(pres, fieldc, dims, maps) -> rc.Module:
 def _morphism_from_payload(src: rc.Module, dst: rc.Module, comps) -> rc.Morphism:
     return rc.Morphism(src, dst, [np.array(c, dtype=np.int64).reshape(
         (dst.dims[v], src.dims[v])) for v, c in enumerate(comps)])
+
+
+def ses_payload(ctx: CategoryCtx, ses: rc.SES) -> dict:
+    """Self-contained JSON form of a conflation (all matrices included);
+    `ses_from_payload` reads it back."""
+    return {
+        "first": str(ctx.identify(ses.first)),
+        "middle": str(ctx.identify(ses.middle)),
+        "third": str(ctx.identify(ses.third)),
+        "first_dims": list(ses.first.dims),
+        "middle_dims": list(ses.middle.dims),
+        "third_dims": list(ses.third.dims),
+        "middle_maps": [m.tolist() for m in ses.middle.maps],
+        "first_maps": [m.tolist() for m in ses.first.maps],
+        "third_maps": [m.tolist() for m in ses.third.maps],
+        "i_comps": [c.tolist() for c in ses.i.comps],
+        "p_comps": [c.tolist() for c in ses.p.comps],
+    }
 
 
 def ses_from_payload(pres, fieldc, payload: dict) -> rc.SES:

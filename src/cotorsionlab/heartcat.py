@@ -32,11 +32,11 @@ import numpy as np
 
 from . import primefield as pf
 from . import repcore as rc
-from .fileformats import dual_certificate
+from .fileformats import dual_certificate, ses_payload
 from .pairs import HeartClasses, TwinPair
 from .serialcat import CategoryCtx, Obj, basis_position
 from .subcat import (SearchBounds, Subcategory, Verdict, _first_split,
-                     ses_payload, subcat_in_star)
+                     subcat_in_star)
 
 # Fixed caps of the bounded searches, which no caller sets.  Enumerated
 # epi- and mono-triangles have at most TRIANGLE_MAX_SUMMANDS summands per
@@ -581,10 +581,12 @@ def check_integral(h: HeartContext) -> Verdict:
                        notes=("heart is the zero category",))
     tp = h.tp
     for name, x, y, z in (("U in S*T", tp.u, tp.s, tp.t), ("T in U*V", tp.t, tp.u, tp.v)):
-        star = subcat_in_star(ctx, x, y, z, bounds)
-        if star.holds:
+        found = subcat_in_star(ctx, x, y, z, bounds.dim_cap)
+        if found is not None:
+            witnesses = tuple({"object": str(o), "conflation": ses_payload(ctx, ses)}
+                              for o, ses in found)
             return Verdict(status="holds", route=f"star-inclusion {name}",
-                           witnesses=star.witnesses, bounds=bounds)
+                           witnesses=witnesses, bounds=bounds)
     if _semisimple_shortcut(h):
         return Verdict(status="holds", route="one-simple-object heart "
                        "(abelian, hence integral)", bounds=bounds)

@@ -491,6 +491,8 @@ def block_morphism(source: Module, target: Module, source_parts, target_parts,
         raise ValueError("parts do not add up to the source and target")
     mat = pf.zeros(target.total_dim, source.total_dim)
     for (j, i), f in blocks.items():
+        if f.source.dims != source_parts[i].dims or f.target.dims != target_parts[j].dims:
+            raise ValueError(f"block {(j, i)} does not run between its parts")
         mat[rows[j][:, None], cols[i]] = f.block
     return Morphism._make(source, target, mat)
 

@@ -12,7 +12,8 @@ cover the whole search space.  Their middle terms have a closed form
 (`CategoryCtx.ones_class_middle`), so a search builds no module; only a
 witness that is read is realized.  A failed search is therefore complete
 unless the dimension cap truncated it: an approximation table is its
-winners and its truncated ids; only `find_*_approx` word a verdict.
+winners and its truncated ids.  Searches return what they cache; only
+the decisions and pair verification word a verdict.
 
 Neither kind of search depends on the twin that asks for it, so each
 runs once per category context and id-set key, in `CategoryCtx.cached`.
@@ -146,23 +147,6 @@ class Verdict:
         return out
 
 
-def ses_payload(ctx: CategoryCtx, ses: rc.SES) -> dict:
-    """Self-contained JSON form of a conflation (all matrices included)."""
-    return {
-        "first": str(ctx.identify(ses.first)),
-        "middle": str(ctx.identify(ses.middle)),
-        "third": str(ctx.identify(ses.third)),
-        "first_dims": list(ses.first.dims),
-        "middle_dims": list(ses.middle.dims),
-        "third_dims": list(ses.third.dims),
-        "middle_maps": [m.tolist() for m in ses.middle.maps],
-        "first_maps": [m.tolist() for m in ses.first.maps],
-        "third_maps": [m.tolist() for m in ses.third.maps],
-        "i_comps": [c.tolist() for c in ses.i.comps],
-        "p_comps": [c.tolist() for c in ses.p.comps],
-    }
-
-
 # -- membership of a fixed object in X * Y ------------------------------
 
 
@@ -182,26 +166,13 @@ def _first_split(ctx: CategoryCtx, z: Obj, x: Subcategory, y_holds,
 
 
 def star_member(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
-                dim_cap: int = 24) -> Verdict:
-    """Exact decision of z in X*Y by complete submodule enumeration.  The
-    scan runs once per context and (z, X ids, Y ids, dim_cap); each call
-    builds a fresh verdict, so no caller holds a shared payload."""
-    checked, ses = ctx.cached(("star", z.ids, x.ids, y.ids, dim_cap),
-                              lambda: _star_scan(ctx, z, x, y, dim_cap))
-    if ses is not None:
-        return Verdict(
-            status="holds",
-            route="submodule search",
-            witnesses=({"object": str(z), "conflation": ses_payload(ctx, ses)},),
-            exhaustive=True,
-        )
-    return Verdict(
-        status="fails",
-        route="submodule search",
-        certificate={"object": str(z), "submodules_checked": checked,
-                     "x": x.display(), "y": y.display()},
-        exhaustive=True,
-    )
+                dim_cap: int) -> rc.SES | None:
+    """The first conflation X -> z -> Y with X in add(x) and Y in add(y),
+    or None, by complete submodule enumeration.  The scan runs once per
+    context and (z, X ids, Y ids, dim_cap); it caches the pair (submodules
+    scanned, conflation), never None, which `cached` would read as a miss."""
+    return ctx.cached(("star", z.ids, x.ids, y.ids, dim_cap),
+                      lambda: _star_scan(ctx, z, x, y, dim_cap))[1]
 
 
 def _star_scan(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
@@ -217,26 +188,20 @@ def _star_scan(ctx: CategoryCtx, z: Obj, x: Subcategory, y: Subcategory,
 
 
 def subcat_in_star(ctx: CategoryCtx, a: Subcategory, x: Subcategory,
-                   y: Subcategory, bounds: SearchBounds) -> Verdict:
-    """a included in X*Y, checked on each indecomposable of a.
+                   y: Subcategory, dim_cap: int) -> list[tuple[Obj, rc.SES]] | None:
+    """a included in X*Y, checked on each indecomposable of a: each one in
+    ascending order with its conflation, or None at the first without one.
 
     Sufficient for the whole additive closure because direct sums of
     conflations are conflations.
     """
-    witnesses = []
-    for z in sorted(a.ids):
-        v = star_member(ctx, Obj.of(z), x, y, dim_cap=bounds.dim_cap)
-        if v.fails:
-            return Verdict(
-                status="fails",
-                route="indecomposable-level star check",
-                certificate={"offender": str(z), "detail": v.certificate},
-                bounds=bounds,
-                exhaustive=True,
-            )
-        witnesses.extend(v.witnesses)
-    return Verdict(status="holds", route="indecomposable-level star check",
-                   witnesses=tuple(witnesses), bounds=bounds, exhaustive=True)
+    found = []
+    for z in map(Obj.of, sorted(a.ids)):
+        ses = star_member(ctx, z, x, y, dim_cap)
+        if ses is None:
+            return None
+        found.append((z, ses))
+    return found
 
 
 # -- approximation searches ---------------------------------------------
@@ -311,36 +276,3 @@ def approx_witness(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
     if b_is_third:
         return ctx.ses_for_class(Obj.of(b), other, {(0, j): 1 for j in cells})
     return ctx.ses_for_class(other, Obj.of(b), {(i, 0): 1 for i in cells})
-
-
-def _table_entry(ctx: CategoryCtx, b: IndecId, b_is_third: bool,
-                 middle: Subcategory, partner: Subcategory,
-                 bounds: SearchBounds, note) -> tuple[Verdict, rc.SES | None]:
-    """The verdict of b's search and its witness, an unknown verdict worded
-    by note(): the only place an approximation verdict is built."""
-    winners, truncated = approx_table(ctx, b_is_third, middle, partner, bounds)
-    other = winners.get(ctx.check_id(b))
-    if other is None:
-        return Verdict(status="unknown", route="extension-class search",
-                       bounds=bounds, exhaustive=b not in truncated,
-                       notes=(note(),)), None
-    return (Verdict(status="holds", route="extension-class search" if other.ids
-                    else "split", bounds=bounds, exhaustive=True),
-            approx_witness(ctx, b, b_is_third, other))
-
-
-def find_left_approx(ctx: CategoryCtx, b: IndecId, u: Subcategory,
-                     v: Subcategory, bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """Search a conflation V -> U0 -> b with U0 in add(u), V in add(v),
-    smallest witness first."""
-    return _table_entry(ctx, b, True, u, v, bounds, lambda: (
-        f"no covering conflation for {b} with cover in add{u.display()} "
-        f"and kernel in add{v.display()}"))
-
-
-def find_right_approx(ctx: CategoryCtx, b: IndecId, t: Subcategory,
-                      s: Subcategory, bounds: SearchBounds) -> tuple[Verdict, rc.SES | None]:
-    """Search a conflation b -> T0 -> S with T0 in add(t), S in add(s)."""
-    return _table_entry(ctx, b, False, t, s, bounds, lambda: (
-        f"no coresolving conflation for {b} with middle in add{t.display()} "
-        f"and cokernel in add{s.display()}"))

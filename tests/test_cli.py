@@ -9,10 +9,11 @@ import pytest
 from cotorsionlab import fileformats as ff
 from cotorsionlab import repcore as rc
 from cotorsionlab.cli import main
+from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
 from cotorsionlab.subcat import SearchBounds
 
-from paper_fixtures import FIXDIR, fixture_subcategories
+from paper_fixtures import FIXDIR, FIXTURES, fixture_subcategories, paper_context
 
 CATEGORY = str(FIXDIR / "paper_a6.category.json")
 
@@ -57,6 +58,31 @@ def test_emitted_files_reparse_to_equal_values(ctx, tmp_path):
         {k: v.ids for k, v in subs.items()}
     assert ff.dumps_canonical(ff.pairs_payload(parsed)) == \
         ff.dumps_canonical(payload)
+
+
+def _ses_blocks(ses):
+    return [ses.first.maps, ses.middle.maps, ses.third.maps, ses.i.comps, ses.p.comps]
+
+
+def test_conflation_payloads_round_trip():
+    # every approximation and heart witness of the fixtures at F_2 and F_3
+    bounds = SearchBounds()
+    count = 0
+    for p in (2, 3):
+        ctx = paper_context(p)
+        for name in FIXTURES:
+            tp = verified_twin(ctx, fixture_subcategories(ctx, name), bounds)
+            main_table = compute_hearts(ctx, tp, bounds).main
+            for witnesses in (tp.st.left, tp.st.right, tp.uv.left, tp.uv.right,
+                              main_table.bplus_witness, main_table.bminus_witness):
+                for ses in witnesses.values():
+                    back = ff.ses_from_payload(ctx.presentation, ctx.field,
+                                               ff.ses_payload(ctx, ses))
+                    for got, want in zip(_ses_blocks(back), _ses_blocks(ses), strict=True):
+                        assert len(got) == len(want)
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    count += 1
+    assert count == 618
 
 
 def test_pairs_expressions_resolve(ctx, tmp_path):

@@ -13,7 +13,7 @@ from cotorsionlab.heartcat import (HeartMorphism, WitnessCone, check_abelian,
                                    heart_context, heart_morphism_from_coeffs,
                                    is_epi_in_heart, is_mono_in_heart,
                                    is_w_epic, is_w_monic, kernel_in_heart,
-                                   probe_integral_direct)
+                                   probe_integral_direct, pullback_square)
 from cotorsionlab.pairs import (compute_hearts, verified_twin, verify_cotorsion,
                                verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
@@ -568,6 +568,17 @@ def test_probe_finds_nothing_on_abelian(ex_abelian):
     v = probe_integral_direct(_mult1(ex_abelian))
     assert v.unknown
     assert "no counterexample" in v.route
+
+
+def test_pullback_square_refuses_maps_with_different_ends(ex_nonintegral):
+    # b: [4,4] -> [4,4] and d: D -> D with D = [3,5] + [4,4]; (b, -d) is no
+    # map, so no heart kernel of it is computed
+    h = ex_nonintegral.hctx
+    b = canonical_heart_map(h, IndecId(4, 4), IndecId(4, 4))
+    dobj = Obj.of(IndecId(3, 5), IndecId(4, 4))
+    d = HeartMorphism(h, dobj, dobj, rc.identity(h.ctx.realize(dobj)))
+    with pytest.raises(ValueError, match="block"):
+        pullback_square(h, b, d)
 
 
 def test_probe_consistency_with_check_integral(ex_nonintegral):

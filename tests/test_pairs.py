@@ -7,8 +7,7 @@ from cotorsionlab import pairs
 from cotorsionlab.pairs import (compute_hearts, verified_twin,
                                 verify_cotorsion, verify_twin)
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import (SearchBounds, Subcategory, find_left_approx,
-                                 find_right_approx)
+from cotorsionlab.subcat import SearchBounds, Subcategory, approx_table
 from cotorsionlab import repcore as rc
 
 from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
@@ -157,10 +156,10 @@ def test_compute_hearts_verifies_no_twin(ctx, bounds, ex_nonabelian, monkeypatch
 
 def test_membership_trivial_for_core_objects(ctx, bounds, ex_nonintegral):
     tp = ex_nonintegral.tp
+    plus, _ = approx_table(ctx, True, tp.w, tp.v, bounds)
+    minus, _ = approx_table(ctx, False, tp.w, tp.s, bounds)
     for w in sorted(tp.w.ids)[:3]:
-        pv, _ = find_left_approx(ctx, w, tp.w, tp.v, bounds)
-        mv, _ = find_right_approx(ctx, w, tp.w, tp.s, bounds)
-        assert pv.holds and mv.holds
+        assert w in plus and w in minus
 
 
 def test_membership_witness_conflations_have_right_classes(ctx, ex_nonintegral):
@@ -178,17 +177,16 @@ def test_membership_witness_conflations_have_right_classes(ctx, ex_nonintegral):
 
 def test_paper_heart_member_has_both_witnesses(ctx, bounds, ex_nonintegral):
     tp = ex_nonintegral.tp
-    pv, pses = find_left_approx(ctx, IndecId(3, 5), tp.w, tp.v, bounds)
-    mv, mses = find_right_approx(ctx, IndecId(3, 5), tp.w, tp.s, bounds)
-    assert pv.holds and mv.holds
+    assert IndecId(3, 5) in approx_table(ctx, True, tp.w, tp.v, bounds)[0]
+    assert IndecId(3, 5) in approx_table(ctx, False, tp.w, tp.s, bounds)[0]
 
 
 def test_membership_without_witness_reports_unknown(ctx, bounds, ex_nonintegral):
     # [4,5] sits outside the plus class of this twin; its complete reduced
     # search must come back empty, flagged exhaustive
     tp = ex_nonintegral.tp
-    v, ses = find_left_approx(ctx, IndecId(4, 5), tp.w, tp.v, bounds)
-    assert v.unknown and v.exhaustive and ses is None
+    winners, truncated = approx_table(ctx, True, tp.w, tp.v, bounds)
+    assert IndecId(4, 5) not in winners and IndecId(4, 5) not in truncated
 
 
 def test_zero_heart_control_minus_class_is_projectives(ctx, bounds):

@@ -19,7 +19,7 @@ from cotorsionlab.heartcat import (WitnessCone, _condition_verdict, _epi_cone,
                                    enum_epi_triangles, heart_context)
 from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import SearchBounds, Verdict, ses_payload, subcat_in_star
+from cotorsionlab.subcat import SearchBounds, Verdict, subcat_in_star
 
 from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
 
@@ -128,10 +128,10 @@ def test_id_set_exhaustion_implies_the_star_inclusion(p, fresh_census,
     for c, tp in cases:
         if tp.u.ids <= tp.s.ids | tp.w.ids:
             u_inside += 1
-            assert subcat_in_star(c, tp.u, tp.s, tp.t, bounds).holds
+            assert subcat_in_star(c, tp.u, tp.s, tp.t, bounds.dim_cap) is not None
         if tp.t.ids <= tp.v.ids | tp.w.ids:
             t_inside += 1
-            assert subcat_in_star(c, tp.t, tp.u, tp.v, bounds).holds
+            assert subcat_in_star(c, tp.t, tp.u, tp.v, bounds.dim_cap) is not None
     # 145 and 151 census twins, and ex-nonabelian
     assert (u_inside, t_inside) == (146, 152)
 
@@ -147,12 +147,12 @@ def _forged_condition_report(setup, cond, tmp_path, **extra):
         x = ctx.realize_id(IndecId(2, 3))
         ses = rc.SES(rc.zero_morphism(zero, x), rc.identity(x))
         cert = {"third_term": "[2,3]", "offending_summand": "[2,3]",
-                "epi_triangle": {"kind": "epi", "conflation": ses_payload(ctx, ses)}}
+                "epi_triangle": {"kind": "epi", "conflation": ff.ses_payload(ctx, ses)}}
     else:
         x = ctx.realize_id(IndecId(3, 4))
         ses = rc.SES(rc.identity(x), rc.zero_morphism(x, zero))
         cert = {"first_term": "[3,4]", "offending_summand": "[3,4]",
-                "mono_triangle": {"kind": "mono", "conflation": ses_payload(ctx, ses)}}
+                "mono_triangle": {"kind": "mono", "conflation": ff.ses_payload(ctx, ses)}}
     cert = {"kind": "non_abelian", "condition": cond, **cert, **extra}
     verdict = Verdict(status="fails", route="forged", certificate=cert,
                       bounds=h.bounds)

@@ -190,6 +190,16 @@ def test_block_morphism_rejects_parts_that_do_not_add_up(ctx):
         rc.block_morphism(m, m, [m, m], [m], {})
 
 
+def test_block_morphism_rejects_a_block_between_other_parts(ctx):
+    # the identity of [4,4] is no block from [4,4] into [3,5] + [4,4]
+    m = iv(ctx, 4, 4)
+    d = ctx.realize(Obj.of(IndecId(3, 5), IndecId(4, 4)))
+    with pytest.raises(ValueError, match="block"):
+        rc.block_morphism(m, d, [m], [d], {(0, 0): rc.identity(m)})
+    with pytest.raises(ValueError, match="block"):
+        rc.block_morphism(d, m, [d], [m], {(0, 0): rc.identity(m)})
+
+
 # ---- is_iso ----------------------------------------------------------------
 
 def test_is_iso_examples(ctx):

@@ -20,8 +20,7 @@ from cotorsionlab import subcat
 from cotorsionlab.heartcat import check_abelian, check_integral, heart_context
 from cotorsionlab.pairs import compute_hearts, verified_twin
 from cotorsionlab.serialcat import CategoryCtx, IndecId, Obj
-from cotorsionlab.subcat import (SearchBounds, Subcategory, find_left_approx,
-                                 star_member)
+from cotorsionlab.subcat import SearchBounds, Subcategory, star_member
 
 from paper_fixtures import fixture_subcategories, paper_context
 
@@ -67,35 +66,35 @@ def test_bounds_are_part_of_the_approximation_key():
     for capped_first in (False, True):
         ctx = paper_context()
         every = Subcategory.everything(ctx)
-        answers = {}
+        tables = {}
         for bounds in ((SearchBounds(dim_cap=3), SearchBounds()) if capped_first
                        else (SearchBounds(), SearchBounds(dim_cap=3))):
-            answers[bounds.dim_cap] = find_left_approx(ctx, b, every, every, bounds)
-        capped, ses = answers[3]
-        assert capped.unknown and ses is None and not capped.exhaustive
-        assert capped.bounds == SearchBounds(dim_cap=3)
-        full, ses = answers[24]
-        assert full.holds and full.route == "split" and ses is not None
-        assert full.bounds == SearchBounds()
+            tables[bounds.dim_cap] = subcat.approx_table(ctx, True, every, every, bounds)
+        winners, truncated = tables[3]
+        assert b not in winners and b in truncated
+        winners, truncated = tables[24]
+        assert winners[b].is_zero and b not in truncated  # the split conflation
+        assert subcat.approx_witness(ctx, b, True, winners[b]).first.total_dim == 0
 
 
 def test_reports_never_mutate_a_memoized_star_witness():
     ctx = paper_context()
-    z, x, y = (Obj.of(IndecId(3, 5)), Subcategory(frozenset({IndecId(3, 3)})),
-               Subcategory(frozenset({IndecId(4, 5)})))
     bounds = SearchBounds()
-    pres, fieldc = ctx.presentation, ctx.field
+    subs = fixture_subcategories(ctx, "ex-nonabelian")
+    tp = verified_twin(ctx, subs, bounds)
+    h = heart_context(ctx, tp, compute_hearts(ctx, tp, bounds), bounds)
 
     def report():
-        verdict = star_member(ctx, z, x, y)
-        assert verdict.holds
-        return ff.report_payload("star", verdict.payload(), pres, fieldc,
-                                 {"X": x, "Y": y}, bounds, 0, 0.0)
+        verdict = check_integral(h)
+        assert verdict.route == "star-inclusion U in S*T"
+        return ff.report_payload("check-integral", verdict.payload(),
+                                 ctx.presentation, ctx.field, subs, bounds, 0, 0.0)
 
     first = report()
     expected = ff.dumps_canonical(first)
     # a caller that edits its report must not reach the memo
-    conflation = first["verdict"]["witnesses"][0]["conflation"]
+    conflation = next(w["conflation"] for w in first["verdict"]["witnesses"]
+                      if any(m and m[0] for m in w["conflation"]["middle_maps"]))
     next(m for m in conflation["middle_maps"] if m and m[0])[0][0] = 7
     conflation["first"] = "edited"
     first["verdict"]["witnesses"].clear()
@@ -107,14 +106,14 @@ _GOOD = Subcategory(frozenset({IndecId(4, 5)}))
 
 
 @pytest.mark.parametrize("search", [
-    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _BAD, _GOOD),
-    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _BAD),
+    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _BAD, _GOOD, 24),
+    lambda ctx: star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _BAD, 24),
     lambda ctx: subcat.approx_table(ctx, True, _BAD, _GOOD, SearchBounds()),
     lambda ctx: subcat.approx_table(ctx, False, _GOOD, _BAD, SearchBounds())],
     ids=["star-x", "star-y", "approx-middle", "approx-partner"])
 def test_ids_outside_the_algebra_raise_and_are_never_cached(search):
     ctx = paper_context()
-    star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _GOOD)
+    star_member(ctx, Obj.of(IndecId(3, 5)), _GOOD, _GOOD, 24)
     keys = list(ctx._cache)
     with pytest.raises(ValueError, match=r"\[1,6\] is not an indecomposable"):
         search(ctx)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cotorsionlab import repcore as rc
+from cotorsionlab import subcat
 from cotorsionlab.pairs import verified_twin
 from cotorsionlab.serialcat import IndecId, Obj
-from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict,
-                                 find_left_approx,
-                                 find_right_approx, inter, left_perp, oplus,
-                                 right_perp, star_member, subcat_in_star)
+from cotorsionlab.subcat import (SearchBounds, Subcategory, Verdict, inter,
+                                 left_perp, oplus, right_perp, star_member,
+                                 subcat_in_star)
 
 from oracles import extensions
 from paper_fixtures import FIXTURES, fixture_subcategories, paper_context
@@ -63,24 +64,37 @@ def test_verdict_requires_certificates_on_fails():
 def test_star_member_trivial_left_slot(ctx, bounds):
     x = sub({IndecId(3, 4)}, "X")
     anything = Subcategory.everything(ctx)
-    v = star_member(ctx, Obj.of(IndecId(3, 4)), x, anything)
-    assert v.holds
+    assert star_member(ctx, Obj.of(IndecId(3, 4)), x, anything,
+                       bounds.dim_cap) is not None
 
 
 def test_star_member_paper_conflation(ctx):
-    v = star_member(ctx, Obj.of(IndecId(3, 5)),
-                    sub({IndecId(3, 3)}), sub({IndecId(4, 5)}))
-    assert v.holds
-    w = v.witnesses[0]["conflation"]
-    assert w["first"] == "[3,3]" and w["third"] == "[4,5]"
+    ses = star_member(ctx, Obj.of(IndecId(3, 5)),
+                      sub({IndecId(3, 3)}), sub({IndecId(4, 5)}), 24)
+    assert ses is not None
+    assert str(ctx.identify(ses.first)) == "[3,3]"
+    assert str(ctx.identify(ses.third)) == "[4,5]"
 
 
 def test_star_member_reversed_order_fails(ctx):
-    v = star_member(ctx, Obj.of(IndecId(3, 5)),
-                    sub({IndecId(4, 5)}), sub({IndecId(3, 3)}))
-    assert v.fails
-    assert v.certificate["submodules_checked"] == 4
-    assert v.exhaustive
+    z, x, y = Obj.of(IndecId(3, 5)), sub({IndecId(4, 5)}), sub({IndecId(3, 3)})
+    assert star_member(ctx, z, x, y, 24) is None
+    # the scan read all 4 submodules of the uniserial [3,5]
+    assert ctx._cache[("star", z.ids, x.ids, y.ids, 24)] == (4, None)
+
+
+def test_a_failing_star_search_scans_once_per_context(monkeypatch):
+    # the cached answer of a failing scan must not read as a cache miss
+    ctx = paper_context()
+    z, x, y = Obj.of(IndecId(3, 5)), sub({IndecId(4, 5)}), sub({IndecId(3, 3)})
+    scans = []
+    submodules = rc.submodules
+    monkeypatch.setattr(rc, "submodules",
+                        lambda *args, **kw: scans.append(args) or submodules(*args, **kw))
+    assert star_member(ctx, z, x, y, 24) is None
+    assert len(scans) == 1
+    assert star_member(ctx, z, x, y, 24) is None
+    assert len(scans) == 1
 
 
 def test_star_member_consistent_with_extensions(ctx):
@@ -90,57 +104,69 @@ def test_star_member_consistent_with_extensions(ctx):
             if ctx.ext_dim(x, y) != 1:
                 continue
             for mid in extensions(ctx, x, y):
-                v = star_member(ctx, mid, sub({y}), sub({x}))
-                assert v.holds, (x, y, mid)
+                assert star_member(ctx, mid, sub({y}), sub({x}), 24) is not None, \
+                    (x, y, mid)
 
 
 def test_subcat_in_star_reflexive(ctx, bounds):
     x = sub({IndecId(3, 4), IndecId(5, 6)}, "X")
-    assert subcat_in_star(ctx, x, x, Subcategory.everything(ctx), bounds).holds
+    found = subcat_in_star(ctx, x, x, Subcategory.everything(ctx), bounds.dim_cap)
+    assert [str(z) for z, _ in found] == ["[3,4]", "[5,6]"]
 
 
 def test_subcat_in_star_paper_failures(ctx, bounds):
     subs = fixture_subcategories(ctx, "ex-abelian")
-    r1 = subcat_in_star(ctx, subs["U"], subs["S"], subs["T"], bounds)
-    r2 = subcat_in_star(ctx, subs["T"], subs["U"], subs["V"], bounds)
-    assert r1.fails and r2.fails
-    assert "offender" in r1.certificate
+    for a, x, y in ((subs["U"], subs["S"], subs["T"]),
+                    (subs["T"], subs["U"], subs["V"])):
+        assert subcat_in_star(ctx, a, x, y, bounds.dim_cap) is None
+        # an offender: an indecomposable of a with no conflation
+        assert any(star_member(ctx, Obj.of(z), x, y, bounds.dim_cap) is None
+                   for z in a.ids)
 
 
 # ---- approximation searches -------------------------------------------------
 
+def table_entry(ctx, b, b_is_third, middle, partner, bounds):
+    """b's partner in its approximation table and its witness conflation,
+    or None for both, and whether the dimension cap cut b's search short."""
+    winners, truncated = subcat.approx_table(ctx, b_is_third, middle, partner, bounds)
+    other = winners.get(b)
+    ses = None if other is None else subcat.approx_witness(ctx, b, b_is_third, other)
+    return other, ses, b in truncated
+
+
 def test_left_approx_split_for_projectives(ctx, bounds):
     every = Subcategory.everything(ctx)
-    v, ses = find_left_approx(ctx, IndecId(1, 3), every, every, bounds)
-    assert v.holds and v.route == "split"
+    other, ses, _ = table_entry(ctx, IndecId(1, 3), True, every, every, bounds)
+    assert other.is_zero  # the split conflation
     assert ses.first.total_dim == 0
 
 
 def test_left_approx_with_zero_cover_is_unknown(ctx, bounds):
-    v, ses = find_left_approx(ctx, IndecId(3, 4), Subcategory.empty(),
-                              Subcategory.everything(ctx), bounds)
-    assert v.unknown and ses is None
-    assert v.exhaustive  # the reduced search space was fully scanned
+    other, ses, truncated = table_entry(ctx, IndecId(3, 4), True, Subcategory.empty(),
+                                        Subcategory.everything(ctx), bounds)
+    assert other is None and ses is None
+    assert not truncated  # the reduced search space was fully scanned
 
 
 def test_right_approx_split_for_members(ctx, bounds):
     every = Subcategory.everything(ctx)
-    v, ses = find_right_approx(ctx, IndecId(4, 6), every, every, bounds)
-    assert v.holds and ses.third.total_dim == 0
+    other, ses, _ = table_entry(ctx, IndecId(4, 6), False, every, every, bounds)
+    assert other.is_zero and ses.third.total_dim == 0
 
 
 def test_right_approx_with_zero_middle_is_unknown(ctx, bounds):
-    v, ses = find_right_approx(ctx, IndecId(3, 4), Subcategory.empty(),
-                               Subcategory.everything(ctx), bounds)
-    assert v.unknown and ses is None
+    other, ses, _ = table_entry(ctx, IndecId(3, 4), False, Subcategory.empty(),
+                                Subcategory.everything(ctx), bounds)
+    assert other is None and ses is None
 
 
 def test_fixture_pairs_have_witnesses_for_all_indecs(ctx, bounds):
     subs = fixture_subcategories(ctx, "ex-nonintegral")
     for b in ctx.indecs:
-        lv, lses = find_left_approx(ctx, b, subs["U"], subs["V"], bounds)
-        rv, rses = find_right_approx(ctx, b, subs["V"], subs["U"], bounds)
-        assert lv.holds and rv.holds, b
+        _, lses, _ = table_entry(ctx, b, True, subs["U"], subs["V"], bounds)
+        _, rses, _ = table_entry(ctx, b, False, subs["V"], subs["U"], bounds)
+        assert lses is not None and rses is not None, b
         # witnesses are genuine conflations with the right memberships
         assert ctx.identify(lses.middle).summands_in(subs["U"].ids)
         assert ctx.identify(lses.first).summands_in(subs["V"].ids)
@@ -152,27 +178,20 @@ def test_fixture_pairs_have_witnesses_for_all_indecs(ctx, bounds):
 
 def test_approx_witnesses_are_smallest_first(ctx, bounds):
     subs = fixture_subcategories(ctx, "ex-nonintegral")
-    v, ses = find_left_approx(ctx, IndecId(3, 4), subs["W"] if "W" in subs else
-                              inter(subs["U"], subs["T"]), subs["V"], bounds)
+    _, ses, _ = table_entry(ctx, IndecId(3, 4), True, subs["W"] if "W" in subs else
+                            inter(subs["U"], subs["T"]), subs["V"], bounds)
     # kernel [1,2] gives the smallest cover [1,4] of [3,4]
-    assert v.holds
+    assert ses is not None
     assert ctx.identify(ses.middle) == Obj.of(IndecId(1, 4))
 
 
 def test_left_approx_with_b_above_the_dim_cap_is_unknown(ctx):
     # b alone exceeds the cap, so not even the split conflation is tried
     every = Subcategory.everything(ctx)
-    v, ses = find_left_approx(ctx, IndecId(1, 4), every, every,
-                              SearchBounds(dim_cap=3))
-    assert v.unknown and ses is None
-    assert not v.exhaustive
-
-
-# sha256 of (status, route, exhaustive, notes, witness matrices) of every
-# approximation search below, recorded before the left and right searches
-# were merged into one
-APPROX_ANSWERS_SHA256 = (
-    "37dbae099e81776870d09b1317e8403c78f32d748dead34ab687e9d83db96c23")
+    other, ses, truncated = table_entry(ctx, IndecId(1, 4), True, every, every,
+                                        SearchBounds(dim_cap=3))
+    assert other is None and ses is None
+    assert truncated
 
 
 def _ses_matrices(ses):
@@ -181,24 +200,33 @@ def _ses_matrices(ses):
         [c.tolist() for c in ses.i.comps], [c.tolist() for c in ses.p.comps]]
 
 
-def approx_answers_digest(ctx, twins) -> str:
+# sha256 of (partner, truncated, witness matrices) of every id in each
+# approximation table below, recorded while the searches still worded
+# verdicts, whose own digest passed on that code too
+APPROX_ANSWERS_SHA256 = (
+    "d7b705d2400395c42dd271ac39ce37223bf3b878e125fd94344a3c48b4480d8d")
+
+
+def approx_tables_digest(ctx, twins) -> str:
     """Every indecomposable against both approximations of each cotorsion
     pair of the twins and against their two heart membership searches."""
     searches = set()
     for tp in twins:
         for x, y in ((tp.s, tp.t), (tp.u, tp.v)):
-            searches.add((find_left_approx, x.ids, y.ids))
-            searches.add((find_right_approx, y.ids, x.ids))
-        searches.add((find_left_approx, tp.w.ids, tp.v.ids))
-        searches.add((find_right_approx, tp.w.ids, tp.s.ids))
+            searches.add((True, x.ids, y.ids))
+            searches.add((False, y.ids, x.ids))
+        searches.add((True, tp.w.ids, tp.v.ids))
+        searches.add((False, tp.w.ids, tp.s.ids))
     digest = hashlib.sha256()
-    for search, mid, end in sorted(searches, key=lambda s: (
-            s[0].__name__, sorted(s[1]), sorted(s[2]))):
+    for b_is_third, mid, end in sorted(searches, key=lambda s: (
+            not s[0], sorted(s[1]), sorted(s[2]))):
+        winners, truncated = subcat.approx_table(
+            ctx, b_is_third, Subcategory(mid), Subcategory(end), SearchBounds())
         for b in ctx.indecs:
-            v, ses = search(ctx, b, Subcategory(mid), Subcategory(end),
-                            SearchBounds())
-            record = [v.status, v.route, v.exhaustive, list(v.notes),
-                      None if ses is None else _ses_matrices(ses)]
+            other = winners.get(b)
+            record = [None if other is None else str(other), b in truncated,
+                      None if other is None else _ses_matrices(
+                          subcat.approx_witness(ctx, b, b_is_third, other))]
             digest.update(json.dumps(record).encode())
     return digest.hexdigest()
 
@@ -207,10 +235,10 @@ def test_approximation_answers_are_pinned(census_a5):
     digests = []
     for p in (2, 3):
         ctx = paper_context(p)
-        digests.append(approx_answers_digest(ctx, [
+        digests.append(approx_tables_digest(ctx, [
             verified_twin(ctx, fixture_subcategories(ctx, name), SearchBounds())
             for name in FIXTURES]))
-    digests.append(approx_answers_digest(census_a5[0].ctx,
-                                         [h.tp for h in census_a5]))
+    digests.append(approx_tables_digest(census_a5[0].ctx,
+                                        [h.tp for h in census_a5]))
     digest = hashlib.sha256("".join(digests).encode()).hexdigest()
     assert digest == APPROX_ANSWERS_SHA256
